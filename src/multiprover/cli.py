@@ -85,7 +85,7 @@ def _flatten(doc, prefix=""):
     rows = []
     if isinstance(doc, dict):
         for key in sorted(doc):
-            rows.extend(_flatten(doc[key], f"{prefix}{key}." if prefix or True else key))
+            rows.extend(_flatten(doc[key], f"{prefix}{key}."))
     elif isinstance(doc, (list, tuple)):
         for idx, item in enumerate(doc):
             rows.extend(_flatten(item, f"{prefix}{idx}."))

@@ -93,6 +93,8 @@ class HermitianOperator:
                 f"entries shape {m.shape} does not match total dimension "
                 f"{shape.total}"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         gap = np.abs(m - m.conj().T).max() if m.size else 0.0
         if gap > tol:
             raise ValueError(f"matrix is not Hermitian: max|M - M*| = {gap:.3e}")
@@ -145,6 +147,8 @@ class PureState:
                 f"amplitude length {v.shape[0]} does not match total "
                 f"dimension {shape.total}"
             )
+        if not np.isfinite(v).all():
+            raise ValueError("amplitudes must be finite")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > tol:
             raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")

@@ -12,6 +12,11 @@ Two independent routes are provided on purpose:
   on random 2-planes of the state manifold. Uses only direct evaluations
   of the objective, no eigendecompositions, so it can serve as an oracle
   for the seesaw route.
+
+``brute_force_max`` (highest values) and ``separable.witness_evidence``
+(lowest values) share one sampling kernel, ``_screen_products``, which
+evaluates the form on BLAS over row blocks of sampled states: still direct
+evaluation only.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ from .rand import default_rng, haar_vector
 
 LOCAL_NORM_TOL = 1e-10
 PSD_TOL = 1e-6
+
+
+class MonotonicityError(RuntimeError):
+    """An ascent step lowered the objective it is guaranteed not to lower."""
 
 
 @dataclass(frozen=True)
@@ -153,8 +162,8 @@ def _seesaw_run(cmat, dims, locs0, *, sweep_cap=500, improve_tol=1e-10):
     sweeps = 0
     for sweeps in range(1, sweep_cap + 1):
         obj = _sweep(tview, m, locs)
-        slack = 1e-12 * max(1.0, abs(prev))
-        assert obj >= prev - slack, f"objective decreased: {prev} -> {obj}"
+        if obj < prev - 1e-12 * max(1.0, abs(prev)):
+            raise MonotonicityError(f"objective decreased: {prev} -> {obj}")
         trace.append(obj)
         if obj - prev < improve_tol * max(1.0, abs(prev)):
             converged = True
@@ -333,17 +342,47 @@ def seesaw_max(
 # -- sampling oracle ----------------------------------------------------------
 
 BRUTE_DIM_CAP = 64
+# Rows per BLAS call in _screen_products: bounds its temporaries to a few MB.
+_SCREEN_ROWS = 2048
 
 
-def _sample_product_batch(dims, batch, rng):
-    locs = []
-    joint = None
-    for d in dims:
-        x = rng.standard_normal((batch, d)) + 1j * rng.standard_normal((batch, d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        locs.append(x)
-        joint = x if joint is None else (joint[:, :, None] * x[:, None, :]).reshape(batch, -1)
-    return locs, joint
+def _screen_products(cmat, dims, samples, rng, keep, chunk, *, lowest):
+    """Keep the ``keep`` lowest (or highest) <phi|C|phi> over sampled products.
+
+    Haar-random product states are drawn ``chunk`` at a time and evaluated
+    in blocks of ``_SCREEN_ROWS`` rows as J @ C.T plus a rowwise real dot
+    with J. Returns the kept values in ascending order and their locals.
+    """
+    if keep < 1 or chunk < 1:
+        raise ValueError("need keep >= 1 and chunk >= 1")
+
+    def extreme(v):
+        order = np.argsort(v)
+        return order[:keep] if lowest else order[max(0, len(order) - keep) :]
+
+    kept_vals, kept_locs = np.empty(0), []
+    for start in range(0, samples, chunk):
+        b = min(chunk, samples - start)
+        locs = []
+        for d in dims:
+            x = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            locs.append(x)
+        vals = np.empty(b)
+        for s in range(0, b, _SCREEN_ROWS):
+            jb = locs[0][s : s + _SCREEN_ROWS]
+            for x in locs[1:]:
+                jb = (jb[:, :, None] * x[s : s + _SCREEN_ROWS, None, :]).reshape(len(jb), -1)
+            jw = jb @ cmat.T
+            vals[s : s + len(jb)] = np.einsum("bi,bi->b", jb.real, jw.real) + np.einsum(
+                "bi,bi->b", jb.imag, jw.imag
+            )
+        take = extreme(vals)
+        kept_vals = np.concatenate([kept_vals, vals[take]])
+        kept_locs += [[x[i].copy() for x in locs] for i in take]
+        order = extreme(kept_vals)
+        kept_vals, kept_locs = kept_vals[order], [kept_locs[i] for i in order]
+    return kept_vals, kept_locs
 
 
 def _plane_refine(cmat, dims, locs, rng, *, rounds=300, tol=1e-13):
@@ -409,25 +448,10 @@ def brute_force_max(
         raise ValueError("need at least one sample")
     rng = default_rng(rng)
     cmat = c.entries
-
-    top_vals: list[float] = []
-    top_locs: list[list[np.ndarray]] = []
-    remaining = samples
-    while remaining > 0:
-        b = min(chunk, remaining)
-        remaining -= b
-        locs, joint = _sample_product_batch(dims, b, rng)
-        vals = np.einsum("bi,ij,bj->b", joint.conj(), cmat, joint).real
-        take = np.argsort(vals)[-refine:]
-        for idx in take:
-            top_vals.append(float(vals[idx]))
-            top_locs.append([x[idx].copy() for x in locs])
-        order = np.argsort(top_vals)[-refine:]
-        top_vals = [top_vals[i] for i in order]
-        top_locs = [top_locs[i] for i in order]
-
-    best = max(top_vals)
-    for locs in top_locs:
+    vals, cands = _screen_products(cmat, dims, samples, rng, refine, chunk, lowest=False)
+    # Refine in ascending order: every refinement draws from the shared rng.
+    best = float(vals[-1])
+    for locs in cands:
         val, _ = _plane_refine(cmat, dims, locs, rng)
         best = max(best, val)
     return best

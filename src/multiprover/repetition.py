@@ -16,7 +16,6 @@ multiplies; the certificate plays both sides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -89,41 +88,53 @@ def _interleave_permutation(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def pair_instance(
-    c1: SeparableOperator, c2: SeparableOperator, *, max_dim: int = DIM_CAP
-) -> RepetitionInstance:
-    """Tensor two instances and regroup so prover j holds (X_j, Y_j)."""
+def _check_parties(c1: SeparableOperator, c2: SeparableOperator) -> None:
     m = c1.shape.parties
     if c2.shape.parties != m:
         raise PartyCountError(
             f"cannot pair a {m}-party instance with a "
             f"{c2.shape.parties}-party instance"
         )
-    merged = tuple(x * y for x, y in zip(c1.shape.dims, c2.shape.dims))
-    if prod(merged) > max_dim:
-        raise CapacityError(
-            f"paired dimension {prod(merged)} exceeds cap {max_dim}"
-        )
+
+
+def _pair_operators(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
+    """a (x) b regrouped so that subsystem j holds (X_j, Y_j)."""
+    joint = HermitianOperator(
+        MultipartiteShape(a.shape.dims + b.shape.dims), np.kron(a.entries, b.entries)
+    )
+    merged = tuple(x * y for x, y in zip(a.shape.dims, b.shape.dims))
+    permuted = permute_subsystems(joint, _interleave_permutation(a.shape.parties))
+    return HermitianOperator(MultipartiteShape(merged), permuted.entries)
+
+
+def _pair_dense(c1: SeparableOperator, c2: SeparableOperator, max_dim: int):
+    """Dense C1, dense C2 and their paired operator, each built once."""
+    _check_parties(c1, c2)
+    total = c1.shape.total * c2.shape.total
+    if total > max_dim:
+        raise CapacityError(f"paired dimension {total} exceeds cap {max_dim}")
     d1 = densify(c1, max_dim=max_dim)
     d2 = densify(c2, max_dim=max_dim)
-    joint = HermitianOperator(
-        MultipartiteShape(c1.shape.dims + c2.shape.dims),
-        np.kron(d1.entries, d2.entries),
-    )
-    perm = _interleave_permutation(m)
-    permuted = permute_subsystems(joint, perm)
-    paired = HermitianOperator(MultipartiteShape(merged), permuted.entries)
+    return d1, d2, _pair_operators(d1, d2)
+
+
+def _dual(t: float, c: HermitianOperator) -> DualSolution:
+    w = HermitianOperator(c.shape, t * np.eye(c.shape.total) - c.entries)
+    return DualSolution(t=t, witness=w)
+
+
+def pair_instance(
+    c1: SeparableOperator, c2: SeparableOperator, *, max_dim: int = DIM_CAP
+) -> RepetitionInstance:
+    """Tensor two instances and regroup so prover j holds (X_j, Y_j)."""
+    _, _, paired = _pair_dense(c1, c2, max_dim)
+    perm = _interleave_permutation(c1.shape.parties)
     return RepetitionInstance(c1=c1, c2=c2, paired_operator=paired, permutation=perm)
 
 
 def pair_separable(c1: SeparableOperator, c2: SeparableOperator) -> SeparableOperator:
     """Factored form of the paired operator; stays inside the separable cone."""
-    m = c1.shape.parties
-    if c2.shape.parties != m:
-        raise PartyCountError(
-            f"cannot pair a {m}-party instance with a "
-            f"{c2.shape.parties}-party instance"
-        )
+    _check_parties(c1, c2)
     merged = tuple(x * y for x, y in zip(c1.shape.dims, c2.shape.dims))
     terms = []
     for p in c1.terms:
@@ -142,9 +153,7 @@ def pair_separable(c1: SeparableOperator, c2: SeparableOperator) -> SeparableOpe
 
 def dual_from_primal(c: SeparableOperator, t: float, *, max_dim: int = DIM_CAP) -> DualSolution:
     """Witness t * I - C for a claimed bound t on the product-state optimum."""
-    dense = densify(c, max_dim=max_dim)
-    w = HermitianOperator(c.shape, float(t) * np.eye(c.shape.total) - dense.entries)
-    return DualSolution(t=float(t), witness=w)
+    return _dual(float(t), densify(c, max_dim=max_dim))
 
 
 def repetition_witness(
@@ -156,13 +165,8 @@ def repetition_witness(
     max_dim: int = DIM_CAP,
 ) -> DualSolution:
     """Dual witness t1 t2 * I - C1 (x) C2 on the paired instance."""
-    inst = pair_instance(c1, c2, max_dim=max_dim)
-    shape = inst.paired_operator.shape
-    w = HermitianOperator(
-        shape,
-        float(t1) * float(t2) * np.eye(shape.total) - inst.paired_operator.entries,
-    )
-    return DualSolution(t=float(t1) * float(t2), witness=w)
+    _, _, paired = _pair_dense(c1, c2, max_dim)
+    return _dual(float(t1) * float(t2), paired)
 
 
 def witness_summands(
@@ -180,30 +184,13 @@ def witness_summands(
     so each lies in the dual separable cone whenever t1, t2 are valid
     bounds; their mean equals t1 t2 * I - C1 (x) C2 exactly.
     """
-    m = c1.shape.parties
-    if c2.shape.parties != m:
-        raise PartyCountError(
-            f"cannot pair a {m}-party instance with a "
-            f"{c2.shape.parties}-party instance"
-        )
+    _check_parties(c1, c2)
     d1 = densify(c1, max_dim=max_dim)
     d2 = densify(c2, max_dim=max_dim)
     i1 = identity(c1.shape)
     i2 = identity(c2.shape)
-    merged = tuple(x * y for x, y in zip(c1.shape.dims, c2.shape.dims))
-    perm = _interleave_permutation(m)
-
-    def paired(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-        joint = HermitianOperator(
-            MultipartiteShape(c1.shape.dims + c2.shape.dims),
-            np.kron(a.entries, b.entries),
-        )
-        return HermitianOperator(
-            MultipartiteShape(merged), permute_subsystems(joint, perm).entries
-        )
-
-    first = paired(float(t1) * i1 - d1, float(t2) * i2 + d2)
-    second = paired(float(t1) * i1 + d1, float(t2) * i2 - d2)
+    first = _pair_operators(float(t1) * i1 - d1, float(t2) * i2 + d2)
+    second = _pair_operators(float(t1) * i1 + d1, float(t2) * i2 - d2)
     return (
         DualWitnessCandidate(first, label="(t1 I - C1) x (t2 I + C2)"),
         DualWitnessCandidate(second, label="(t1 I + C1) x (t2 I - C2)"),
@@ -234,25 +221,20 @@ def verify_perfect_repetition(
     * ``inconclusive``: neither, e.g. optimization failed to close the gap.
     """
     rng = default_rng(rng)
-    r_pair = pair_instance(c1, c2, max_dim=max_dim)
+    d1, d2, paired = _pair_dense(c1, c2, max_dim)
     ch = rng.spawn(4)
 
-    r1: OptimizationResult = seesaw_max(densify(c1), restarts=restarts, rng=ch[0])
-    r2: OptimizationResult = seesaw_max(densify(c2), restarts=restarts, rng=ch[1])
+    r1: OptimizationResult = seesaw_max(d1, restarts=restarts, rng=ch[0])
+    r2: OptimizationResult = seesaw_max(d2, restarts=restarts, rng=ch[1])
     warm = ProductState(
-        r_pair.paired_operator.shape,
+        paired.shape,
         [np.kron(a, b) for a, b in zip(r1.state.locals, r2.state.locals)],
     )
-    rp = seesaw_max(
-        r_pair.paired_operator,
-        restarts=restarts,
-        rng=ch[2],
-        initial_states=[warm],
-    )
+    rp = seesaw_max(paired, restarts=restarts, rng=ch[2], initial_states=[warm])
 
     v1, v2, v = r1.value, r2.value, rp.value
     t1t2 = v1 * v2
-    dual = repetition_witness(c1, v1, c2, v2, max_dim=max_dim)
+    dual = _dual(t1t2, paired)
     ev: WitnessEvidence = witness_evidence(dual.witness, samples=samples, rng=ch[3])
 
     gap_ok = abs(v - t1t2) <= tol

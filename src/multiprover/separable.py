@@ -6,6 +6,10 @@ in the dual cone is screened numerically: minimize <product|W|product> over
 sampled product states and refine the best candidates. A minimum clearly
 below zero is a hard counterexample (a separable state on which W fails);
 a minimum within tolerance of zero is evidence of dual feasibility.
+
+The sampling runs on the same BLAS screening kernel as the sampled oracle
+``optimize.brute_force_max``, keeping the lowest values instead of the
+highest; the oracle itself still uses direct evaluation only.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from math import prod
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .linalg import (
     partial_transpose,
     _as_shape,
 )
-from .optimize import ProductState, _qform, _sample_product_batch, _seesaw_run
+from .optimize import ProductState, _qform, _screen_products, _seesaw_run
 from .rand import default_rng
 
 FACTOR_PSD_TOL = 1e-10
@@ -157,27 +160,11 @@ def witness_evidence(
     dims = w.shape.dims
     rng = default_rng(rng)
     wmat = w.entries
-
-    top_vals: list[float] = []
-    top_locs: list[list[np.ndarray]] = []
-    remaining = samples
-    while remaining > 0:
-        b = min(chunk, remaining)
-        remaining -= b
-        locs, joint = _sample_product_batch(dims, b, rng)
-        vals = np.einsum("bi,ij,bj->b", joint.conj(), wmat, joint).real
-        take = np.argsort(vals)[:refine]
-        for idx in take:
-            top_vals.append(float(vals[idx]))
-            top_locs.append([x[idx].copy() for x in locs])
-        order = np.argsort(top_vals)[:refine]
-        top_vals = [top_vals[i] for i in order]
-        top_locs = [top_locs[i] for i in order]
-
-    best_val = min(top_vals)
-    best_locs = top_locs[int(np.argmin(top_vals))]
+    vals, cands = _screen_products(wmat, dims, samples, rng, refine, chunk, lowest=True)
+    best_val = float(vals[0])
+    best_locs = cands[0]
     neg = -wmat
-    for locs in top_locs:
+    for locs in cands:
         val, out, _, _, _ = _seesaw_run(neg, dims, locs)
         if -val < best_val:
             best_val = -val

@@ -376,3 +376,16 @@ def test_wrong_document_shape_is_parse_error(tmp_path, capsys):
     bad.write_text(json.dumps({"dims": [2]}))
     code, _, _ = run_cli(capsys, "optimize", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["oracle", "optimize"])
+def test_non_finite_operator_is_parse_error(tmp_path, capsys, bad, command):
+    doc = json.loads((DATA / "entangled_accept.json").read_text())
+    doc["re"][0][0] = bad
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path), "--no-meta")
+    assert code == 2, err
+    assert out == ""
+    assert "finite" in err

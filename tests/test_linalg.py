@@ -20,6 +20,7 @@ from multiprover.linalg import (
     partial_transpose,
     permute_subsystems,
     spectral_norm,
+    state_from_dict,
     tensor,
     trace_norm,
 )
@@ -338,3 +339,16 @@ def test_operator_from_dict_rejects_garbage():
         operator_from_dict({"dims": [2], "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError):
         operator_from_json(json.dumps({"dims": [2], "re": [[1, 0]], "im": [[0, 0]]}))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_finite_entries_are_rejected(bad, part):
+    op = operator_to_dict(entangled_accept_operator())
+    op[part][0][0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        operator_from_dict(op)
+    state = {"dims": [2], "re": [1.0, 0.0], "im": [0.0, 0.0]}
+    state[part][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        state_from_dict(state)
