@@ -19,6 +19,19 @@ The verifier, given parameters (p, k, q, alpha):
   outcome tuples drawn from the claimed distributions and accepts on a
   strict majority.
 
+A proof is either k IID copies of one state (``IidProofModel``) or an
+explicit list of copies (``ExplicitProofModel``), which is held as
+(state, multiplicity) groups: copies sharing one entries array form one
+group, so step 4 samples one binomial per distinct state however large k
+is. Step 5 draws all q * m outcomes of a trial in one batch of 32-bit
+words, the same words that q * m sequential ``rng.bytes`` draws would
+read, and reads the acceptance probabilities from the stage-2 table in
+one indexing step; ``rng.random()`` is drawn only for the runs whose
+probability is strictly between 0 and 1, after all outcomes are drawn.
+Step 5 is the last use of a trial's generator, so on 0/1 stage-2 tables
+every verification is the same as with one draw at a time; on fractional
+tables the draws come in a different order.
+
 Honest senders fail with probability at most
 ``2 exp(-5 p / 4) + 2 exp(-0.02 q)``; a sender whose claimed
 distribution strays by at least ``1/(10 m r)`` anywhere is accepted with
@@ -28,6 +41,8 @@ functions so experiments can compare against them.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,6 +106,8 @@ class Stage2Acceptor:
             raise TableCapacityError(
                 f"acceptance table with {t.size} entries exceeds cap {STAGE2_TABLE_CAP}"
             )
+        if not np.isfinite(t).all():
+            raise ValueError("acceptance probabilities must be finite")
         if t.min() < 0.0 or t.max() > 1.0:
             raise ValueError("acceptance probabilities must lie in [0, 1]")
         t = np.ascontiguousarray(t)
@@ -185,17 +202,28 @@ class IidProofModel:
 
 @dataclass(frozen=True)
 class ExplicitProofModel:
-    """Copy l is states[l]; the copies need not be identical."""
+    """Copies that need not be identical, held as (state, multiplicity) groups.
 
-    states: tuple[HermitianOperator, ...]
+    The constructor takes the copies themselves. Copies that share one
+    entries array form one group, in order of first appearance, and each
+    distinct state is checked once.
+    """
+
+    groups: tuple[tuple[HermitianOperator, int], ...]
 
     def __init__(self, states):
-        states = tuple(states)
-        if not states:
-            raise ValueError("need at least one copy")
+        by_id: dict[int, list] = {}
         for s in states:
+            group = by_id.get(id(s.entries))
+            if group is None:
+                by_id[id(s.entries)] = [s, 1]
+            else:
+                group[1] += 1
+        if not by_id:
+            raise ValueError("need at least one copy")
+        for s, _ in by_id.values():
             _check_density(s, "proof copy")
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "groups", tuple((s, n) for s, n in by_id.values()))
 
 
 ProofModel = Union[IidProofModel, ExplicitProofModel]
@@ -269,17 +297,53 @@ def fixed_point_distribution(probs: Sequence[float], alpha: int) -> tuple[int, .
     return tuple(floors)
 
 
-def _sample_fixed_point(weights: Sequence[int], alpha: int, rng: np.random.Generator) -> int:
-    # Exact inverse-CDF draw: a uniform alpha-bit integer against the
-    # cumulative numerators.
+def _fixed_point_draws(
+    rows: Sequence[Sequence[int]], alpha: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact inverse-CDF draws: an (n, len(rows)) array of outcome indices.
+
+    Draw (t, j) is a uniform alpha-bit integer u against the cumulative
+    numerators of ``rows[j]``: the first index whose cumulative sum exceeds
+    u, or the last index if none does. Each draw takes ceil(ceil(alpha/8)/4)
+    32-bit words, and u is the leading alpha bits of their little-endian
+    bytes, so one call reads exactly the words that n * len(rows) sequential
+    ``rng.bytes(ceil(alpha / 8))`` draws, in (t, j) order, would.
+    """
     nbytes = (alpha + 7) // 8
-    u = int.from_bytes(rng.bytes(nbytes), "big") >> (nbytes * 8 - alpha)
-    acc = 0
-    for idx, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return idx
-    return len(weights) - 1
+    nwords = (nbytes + 3) // 4
+    words = rng.integers(0, 2 ** 32, size=(n, len(rows), nwords), dtype=np.uint32)
+    stream = words.astype("<u4", copy=False).view(np.uint8)[..., :nbytes]
+    out = np.empty((n, len(rows)), dtype=np.intp)
+    for j, row in enumerate(rows):
+        out[:, j] = _invert_cdf(row, alpha, stream[:, j])
+    return out
+
+
+def _invert_cdf(weights: Sequence[int], alpha: int, stream: np.ndarray) -> np.ndarray:
+    # stream: (n, ceil(alpha/8)) bytes whose leading alpha bits are u.
+    # Compare the leading min(alpha, 63) bits of u with the cumulative
+    # numerators cut to the same bits, in uint64 (the cut total 2**63 does
+    # not fit int64). For alpha <= 63 that is exact; above, u and a bound
+    # with equal prefixes are compared again as exact integers.
+    bits = min(alpha, 63)
+    shift = alpha - bits
+    head = np.zeros((len(stream), 8), dtype=np.uint8)
+    head[:, : min(stream.shape[1], 8)] = stream[:, :8]
+    lead = head.view(">u8")[:, 0].astype(np.uint64) >> np.uint64(64 - bits)
+    scale = 1 << alpha
+    cum = list(itertools.accumulate(weights))
+    bounds = np.array([min(c, scale) >> shift for c in cum], dtype=np.uint64)
+    idx = np.searchsorted(bounds, lead, side="right")
+    if shift:
+        for t in np.flatnonzero(idx != np.searchsorted(bounds, lead, side="left")):
+            u = int.from_bytes(stream[t].tobytes(), "big") >> (8 * stream.shape[1] - alpha)
+            idx[t] = bisect.bisect_right(cum, u)
+    return np.minimum(idx, len(cum) - 1)
+
+
+def _sample_fixed_point(weights: Sequence[int], alpha: int, rng: np.random.Generator) -> int:
+    """One exact inverse-CDF draw; see ``_fixed_point_draws``."""
+    return int(_fixed_point_draws([weights], alpha, 1, rng)[0, 0])
 
 
 # -- message construction -----------------------------------------------------
@@ -374,8 +438,9 @@ def effective_single_copy_state(message: MerlinMessage, j: int) -> HermitianOper
     y = message.y_register[j]
     if isinstance(y, IidProofModel):
         return y.rho
-    acc = sum(s.entries for s in y.states) / len(y.states)
-    return HermitianOperator(y.states[0].shape, acc)
+    k = sum(n for _, n in y.groups)
+    acc = sum(n * s.entries for s, n in y.groups) / k
+    return HermitianOperator(y.groups[0][0].shape, acc)
 
 
 # -- verification -------------------------------------------------------------
@@ -394,22 +459,19 @@ def sample_outcome_counts(
         probs = stage1_distribution(protocol, j, y.rho)
         probs = np.clip(probs, 0.0, None)
         return rng.multinomial(k, probs / probs.sum())
-    if len(y.states) != k:
-        raise ValueError(f"explicit model holds {len(y.states)} copies, expected {k}")
     counts = np.zeros(protocol.r, dtype=np.int64)
-    # Group identical copies so the per-copy loop stays short.
-    by_id: dict[int, tuple[HermitianOperator, int]] = {}
-    for s in y.states:
-        key = id(s.entries)
-        if key in by_id:
-            by_id[key] = (s, by_id[key][1] + 1)
-        else:
-            by_id[key] = (s, 1)
-    for s, mult in by_id.values():
+    for s, mult in _checked_groups(y, k):
         probs = stage1_distribution(protocol, j, s)
         probs = np.clip(probs, 0.0, None)
         counts += rng.multinomial(mult, probs / probs.sum())
     return counts
+
+
+def _checked_groups(y: ExplicitProofModel, k: int):
+    held = sum(n for _, n in y.groups)
+    if held != k:
+        raise ValueError(f"explicit model holds {held} copies, expected {k}")
+    return y.groups
 
 
 def _step4_count(protocol, message, params, j, i, rng) -> int:
@@ -418,19 +480,8 @@ def _step4_count(protocol, message, params, j, i, rng) -> int:
         probs = stage1_distribution(protocol, j, y.rho)
         prob = float(np.clip(probs, 0.0, 1.0)[i] / max(np.clip(probs, 0.0, None).sum(), 1.0))
         return int(rng.binomial(params.k, min(prob, 1.0)))
-    if len(y.states) != params.k:
-        raise ValueError(
-            f"explicit model holds {len(y.states)} copies, expected {params.k}"
-        )
     n = 0
-    by_id: dict[int, tuple[HermitianOperator, int]] = {}
-    for s in y.states:
-        key = id(s.entries)
-        if key in by_id:
-            by_id[key] = (s, by_id[key][1] + 1)
-        else:
-            by_id[key] = (s, 1)
-    for s, mult in by_id.values():
+    for s, mult in _checked_groups(y, params.k):
         probs = np.clip(stage1_distribution(protocol, j, s), 0.0, None)
         prob = min(float(probs[i] / max(probs.sum(), 1.0)), 1.0)
         n += int(rng.binomial(mult, prob))
@@ -479,16 +530,14 @@ def arthur_verify(
     if not step4_frequency_test(n, message.x_register[j][i], params):
         return VerificationOutcome(False, "step4", (j, i), n)
 
-    # Step 5: majority over q simulated runs of the classical stage.
-    accepting = 0
-    for _ in range(params.q):
-        outcome = tuple(
-            _sample_fixed_point(message.x_register[jj], params.alpha, rng)
-            for jj in range(m)
-        )
-        pr = protocol.stage2.accept_probability(outcome)
-        if pr >= 1.0 or (pr > 0.0 and rng.random() < pr):
-            accepting += 1
+    # Step 5: majority over q simulated runs of the classical stage, all
+    # q * m outcomes drawn in one batch.
+    outcomes = _fixed_point_draws(message.x_register, params.alpha, params.q, rng)
+    pr = protocol.stage2.table[tuple(outcomes.T)]
+    frac = pr[(pr > 0.0) & (pr < 1.0)]
+    accepting = int(np.count_nonzero(pr >= 1.0)) + int(
+        np.count_nonzero(rng.random(frac.size) < frac)
+    )
     if 2 * accepting <= params.q:
         return VerificationOutcome(False, "step5", (j, i), n)
     return VerificationOutcome(True, None, (j, i), n)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -291,20 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the sampled oracle and report the gap",
     )
     _add_common(p_opt)
-    p_opt.set_defaults(handler=cmd_optimize)
 
     p_orc = sub.add_parser("oracle", help="sampled product-state maximization")
     p_orc.add_argument("operator")
     p_orc.add_argument("--samples", type=int, default=100_000)
     _add_common(p_orc)
-    p_orc.set_defaults(handler=cmd_oracle)
 
     p_rep = sub.add_parser("parrep", help="parallel-repetition certificate")
     p_rep.add_argument("instance", help="separable operator JSON document")
     p_rep.add_argument("second", nargs="?", default=None)
     p_rep.add_argument("--repeat", type=int, default=1, help="k-fold self pairing")
     _add_common(p_rep)
-    p_rep.set_defaults(handler=cmd_parrep)
 
     p_bell = sub.add_parser("bellqma", help="protocol acceptance Monte Carlo")
     p_bell.add_argument("protocol", help="protocol JSON document")
@@ -317,22 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--alpha", type=int, default=None)
     p_bell.add_argument("--trial-csv", default=None, help="write per-trial rows here")
     _add_common(p_bell)
-    p_bell.set_defaults(handler=cmd_bellqma)
 
     p_enc = sub.add_parser("encode", help="classical description of a pure state")
     p_enc.add_argument("state", help="state JSON document")
     p_enc.add_argument("--bits", type=int, default=None)
     p_enc.add_argument("--plan", action="store_true", help="include a preparation plan")
     _add_common(p_enc)
-    p_enc.set_defaults(handler=cmd_encode)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call rather than at import, and reused.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up by name on every call, so a rebinding of
+    # cmd_<command> after the parser was built is still seen.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        doc = args.handler(args)
+        doc = handler(args)
     except TableCapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TABLE

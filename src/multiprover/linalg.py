@@ -298,6 +298,13 @@ def operator_to_dict(a: HermitianOperator) -> dict:
     }
 
 
+def _check_finite_parts(re: np.ndarray, im: np.ndarray, what: str) -> None:
+    # Before re + 1j * im: an infinite im entry would make numpy warn
+    # (0 * inf) before the constructor's own check could reject it.
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{what} must be finite")
+
+
 def operator_from_dict(doc: dict, *, tol: float = HERMITICITY_TOL) -> HermitianOperator:
     try:
         dims = doc["dims"]
@@ -307,6 +314,7 @@ def operator_from_dict(doc: dict, *, tol: float = HERMITICITY_TOL) -> HermitianO
         raise ValueError(f"malformed operator document: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError("re/im parts must be matching 2-d matrices")
+    _check_finite_parts(re, im, "matrix entries")
     return HermitianOperator(MultipartiteShape(dims), re + 1j * im, tol=tol)
 
 
@@ -333,4 +341,5 @@ def state_from_dict(doc: dict) -> PureState:
         im = np.asarray(doc["im"], dtype=np.float64)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    _check_finite_parts(re, im, "amplitudes")
     return PureState(MultipartiteShape(dims), re + 1j * im)

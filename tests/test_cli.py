@@ -389,3 +389,26 @@ def test_non_finite_operator_is_parse_error(tmp_path, capsys, bad, command):
     assert code == 2, err
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_stage2_table_is_parse_error(tmp_path, capsys, bad):
+    doc = json.loads((DATA / "protocol_m2r2.json").read_text())
+    doc["stage2"] = {"kind": "table", "table": [[bad, 1.0], [1.0, 1.0]]}
+    path = tmp_path / "non_finite_table.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "bellqma", str(path), "--trials", "5", "--no-meta")
+    assert code == 2, err
+    assert out == ""
+    assert "finite" in err
+
+
+def test_main_looks_up_the_handler_on_every_call(capsys, monkeypatch):
+    import multiprover.cli as cli
+
+    state = str(DATA / "plus_state.json")
+    first = run_json(capsys, "encode", state, "--bits", "8", "--no-meta")
+    assert first["command"] == "encode"
+    monkeypatch.setattr(cli, "cmd_encode", lambda args: {"command": "patched", "bits": args.bits})
+    second = run_json(capsys, "encode", state, "--bits", "8", "--no-meta")
+    assert second == {"bits": 8, "command": "patched"}

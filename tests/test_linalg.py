@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -352,3 +353,16 @@ def test_non_finite_entries_are_rejected(bad, part):
     state[part][1] = bad
     with pytest.raises(ValueError, match="finite"):
         state_from_dict(state)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_imaginary_part_raises_without_warning(bad):
+    op = operator_to_dict(entangled_accept_operator())
+    op["im"][0][1] = bad
+    state = {"dims": [2], "re": [1.0, 0.0], "im": [0.0, bad]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            operator_from_dict(op)
+        with pytest.raises(ValueError, match="finite"):
+            state_from_dict(state)
