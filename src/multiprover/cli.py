@@ -79,7 +79,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _flatten(doc, prefix=""):
@@ -148,6 +151,8 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_parrep(args) -> dict:
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     c1 = separable_from_dict(_load_json(args.instance))
     c2 = separable_from_dict(_load_json(args.second)) if args.second else c1
     _check_dim(c1.shape.total * c2.shape.total, args.max_dim)

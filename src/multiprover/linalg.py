@@ -32,7 +32,13 @@ class ConvergenceError(RuntimeError):
 
 
 def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(dims)
+    for d in out:
+        # bool is an int subclass; floats and strings would be truncated or
+        # parsed by int() instead of rejected.
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise ValueError(f"subsystem dimensions must be integers, got {d!r} in {list(out)!r}")
+    out = tuple(int(d) for d in out)
     if not out:
         raise ValueError("at least one subsystem is required")
     if any(d < 1 for d in out):

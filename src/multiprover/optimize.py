@@ -13,6 +13,18 @@ Two independent routes are provided on purpose:
   of the objective, no eigendecompositions, so it can serve as an oracle
   for the seesaw route.
 
+All seesaw restarts run as one array program (``_seesaw_batch``): the
+local vectors of R runs are held as one (R, d) array per subsystem, each
+block update is one batched einsum contraction followed by one ``eigh``
+over the (R, d, d) stack, and runs leave the active set one by one as they
+meet their own stopping test or ``sweep_cap``. A run's result does not
+depend on the batch it runs in: it has the same bytes as a batch of one.
+That needs the phase gauge to call ``np.vdot`` row by row on the strided
+eigenvector view: on a contiguous copy BLAS takes another kernel and the
+last digit can move. Degenerate leading eigenspaces are resolved row by
+row, and every run's final value is recomputed with the direct form
+``_qform``.
+
 ``brute_force_max`` (highest values) and ``separable.witness_evidence``
 (lowest values) share one sampling kernel, ``_screen_products``, which
 evaluates the form on BLAS over row blocks of sampled states: still direct
@@ -99,7 +111,7 @@ class OptimizationResult:
 def _product_vector(locs: Sequence[np.ndarray]) -> np.ndarray:
     v = locs[0]
     for x in locs[1:]:
-        v = np.kron(v, x)
+        v = np.multiply.outer(v, x).ravel()
     return v
 
 
@@ -108,15 +120,24 @@ def _qform(cmat: np.ndarray, locs: Sequence[np.ndarray]) -> float:
     return float(np.real(v.conj() @ (cmat @ v)))
 
 
+# The seesaw kernels below act on a batch of runs: ``locs`` holds one
+# (R, d_l) array per subsystem, row r being run r's local vector.
+
+
 def _eff(tview: np.ndarray, m: int, locs: Sequence[np.ndarray], j: int) -> np.ndarray:
-    args = [tview, list(range(2 * m))]
-    for l in range(m):
-        if l == j:
-            continue
-        args.extend((locs[l].conj(), [l], locs[l], [m + l]))
-    args.append([j, m + j])
-    out = np.einsum(*args)
-    return (out + out.conj().T) / 2
+    """Effective operators on subsystem j, one per run: shape (R, d_j, d_j)."""
+    if m == 1:
+        out = np.broadcast_to(tview, (len(locs[0]),) + tview.shape)
+    else:
+        b = 2 * m  # batch index label
+        args = [tview, list(range(2 * m))]
+        for l in range(m):
+            if l == j:
+                continue
+            args.extend((locs[l].conj(), [b, l], locs[l], [b, m + l]))
+        args.append([b, j, m + j])
+        out = np.einsum(*args)
+    return (out + out.conj().transpose(0, 2, 1)) / 2
 
 
 def _gauge(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -130,46 +151,83 @@ def _gauge(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _update_block(tview, m, locs, j, tie_tol=1e-10):
     w, vv = np.linalg.eigh(_eff(tview, m, locs, j))
-    top = w[-1]
-    k = int(np.sum(w >= top - tie_tol * max(1.0, abs(top))))
-    if k > 1:
-        # Degenerate leading eigenspace: keep the direction closest to the
-        # current local vector.
-        basis = vv[:, -k:]
-        proj = basis @ (basis.conj().T @ locs[j])
-        nrm = np.linalg.norm(proj)
-        v = proj / nrm if nrm > 1e-12 else vv[:, -1]
-    else:
-        v = vv[:, -1]
-    locs[j] = _gauge(v, locs[j])
-    return float(top)
+    top = w[:, -1]
+    ties = np.sum(w >= (top - tie_tol * np.maximum(1.0, np.abs(top)))[:, None], axis=1)
+    cur = locs[j]
+    for r, k in enumerate(ties):
+        # vv[r, :, -1] stays a strided view: np.vdot on a contiguous copy
+        # takes another BLAS kernel and can move the last digit.
+        v = vv[r, :, -1]
+        if k > 1:
+            # Degenerate leading eigenspace: keep the direction closest to
+            # the current local vector.
+            basis = vv[r, :, -k:]
+            proj = basis @ (basis.conj().T @ cur[r])
+            nrm = np.linalg.norm(proj)
+            if nrm > 1e-12:
+                v = proj / nrm
+        cur[r] = _gauge(v, cur[r])
+    return top
 
 
 def _sweep(tview, m, locs):
-    obj = 0.0
+    """One pass of block updates over every subsystem; the last block's top
+    eigenvalue per run."""
     for j in range(m):
         obj = _update_block(tview, m, locs, j)
     return obj
 
 
-def _seesaw_run(cmat, dims, locs0, *, sweep_cap=500, improve_tol=1e-10):
+def _seesaw_batch(cmat, dims, starts, *, sweep_cap=500, improve_tol=1e-10):
+    """Alternating ascent from every start at once.
+
+    Each run sweeps until its own improvement falls below ``improve_tol``
+    or ``sweep_cap`` is reached; finished runs leave the active set. Returns
+    one ``(value, locs, sweeps, converged, trace)`` per start, in order.
+    """
     m = len(dims)
+    n = len(starts)
     tview = cmat.reshape(dims + dims)
-    locs = [v.copy() for v in locs0]
-    prev = _qform(cmat, locs)
-    trace = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, sweep_cap + 1):
-        obj = _sweep(tview, m, locs)
-        if obj < prev - 1e-12 * max(1.0, abs(prev)):
-            raise MonotonicityError(f"objective decreased: {prev} -> {obj}")
-        trace.append(obj)
-        if obj - prev < improve_tol * max(1.0, abs(prev)):
-            converged = True
+    locs = [np.array([s[l] for s in starts], dtype=np.complex128) for l in range(m)]
+    prev = np.array([_qform(cmat, s) for s in starts])
+    traces = [[] for _ in range(n)]
+    sweeps = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for sweep in range(1, sweep_cap + 1):
+        if not len(active):
             break
-        prev = obj
-    return _qform(cmat, locs), locs, sweeps, converged, trace
+        sub = locs if len(active) == n else [x[active] for x in locs]
+        # A scalar objective from _sweep is read as the same value for every run.
+        obj = np.broadcast_to(np.asarray(_sweep(tview, m, sub), dtype=float), active.shape)
+        if sub is not locs:
+            for x, s in zip(locs, sub):
+                x[active] = s
+        p = prev[active]
+        scale = np.maximum(1.0, np.abs(p))
+        fell = np.flatnonzero(obj < p - 1e-12 * scale)
+        if len(fell):
+            i = fell[0]
+            raise MonotonicityError(
+                f"objective decreased in run {active[i]}: {p[i]} -> {obj[i]}"
+            )
+        for r, o in zip(active, obj):
+            traces[r].append(float(o))
+        sweeps[active] = sweep
+        done = obj - p < improve_tol * scale
+        converged[active[done]] = True
+        prev[active] = obj
+        active = active[~done]
+    out = []
+    for r in range(n):
+        run = [x[r].copy() for x in locs]
+        out.append((_qform(cmat, run), run, int(sweeps[r]), bool(converged[r]), traces[r]))
+    return out
+
+
+def _seesaw_run(cmat, dims, locs0, *, sweep_cap=500, improve_tol=1e-10):
+    """One run of the batched engine."""
+    return _seesaw_batch(cmat, dims, [locs0], sweep_cap=sweep_cap, improve_tol=improve_tol)[0]
 
 
 def _aitken_polish(cmat, dims, locs, *, rounds=40):
@@ -187,11 +245,12 @@ def _aitken_polish(cmat, dims, locs, *, rounds=40):
     locs = [v.copy() for v in locs]
     for _ in range(rounds):
         x0 = np.concatenate(locs)
-        l1 = [v.copy() for v in locs]
+        l1 = [v[None].copy() for v in locs]
         _sweep(tview, m, l1)
-        x1 = np.concatenate(l1)
+        x1 = np.concatenate([v[0] for v in l1])
         l2 = [v.copy() for v in l1]
         _sweep(tview, m, l2)
+        l2 = [v[0] for v in l2]
         x2 = np.concatenate(l2)
 
         d1, d2 = x1 - x0, x2 - x1
@@ -255,7 +314,8 @@ def effective_operator(c: HermitianOperator, state: ProductState, j: int) -> Her
     if j < 0 or j >= m:
         raise IndexError(f"subsystem {j} out of range for {m} subsystems")
     tview = c.entries.reshape(dims + dims)
-    return HermitianOperator(MultipartiteShape([dims[j]]), _eff(tview, m, list(state.locals), j))
+    eff = _eff(tview, m, [v[None] for v in state.locals], j)[0]
+    return HermitianOperator(MultipartiteShape([dims[j]]), eff)
 
 
 def product_value(c: HermitianOperator, state: ProductState) -> float:
@@ -304,12 +364,9 @@ def seesaw_max(
         starts.append([haar_vector(d, child) for d in dims])
 
     best = None
-    for locs0 in starts:
-        val, locs, sweeps, conv, trace = _seesaw_run(
-            cmat, dims, locs0, sweep_cap=sweep_cap, improve_tol=improve_tol
-        )
-        if best is None or val > best[0]:
-            best = (val, locs, sweeps, conv, trace)
+    for run in _seesaw_batch(cmat, dims, starts, sweep_cap=sweep_cap, improve_tol=improve_tol):
+        if best is None or run[0] > best[0]:
+            best = run
 
     val, locs, sweeps, conv, trace = best
     iterations = sweeps
@@ -324,9 +381,9 @@ def seesaw_max(
         if not conv:
             # The polish may finish what the coordinate phase could not:
             # re-test stationarity at the final point.
-            probe = [v.copy() for v in locs]
+            probe = [v[None].copy() for v in locs]
             tview = cmat.reshape(dims + dims)
-            gain = _sweep(tview, len(dims), probe) - val
+            gain = float(_sweep(tview, len(dims), probe)[0]) - val
             conv = gain < improve_tol * max(1.0, abs(val))
 
     state = ProductState(c.shape, [v / np.linalg.norm(v) for v in locs])

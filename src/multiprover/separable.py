@@ -30,7 +30,7 @@ from .linalg import (
     partial_transpose,
     _as_shape,
 )
-from .optimize import ProductState, _qform, _screen_products, _seesaw_run
+from .optimize import ProductState, _qform, _screen_products, _seesaw_batch
 from .rand import default_rng
 
 FACTOR_PSD_TOL = 1e-10
@@ -153,7 +153,7 @@ def witness_evidence(
 
     The refinement maximizes <-W> with the same alternating-eigenvector
     updates used for primal optimization, started from the lowest sampled
-    candidates.
+    candidates, all refined in one batch.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -163,9 +163,7 @@ def witness_evidence(
     vals, cands = _screen_products(wmat, dims, samples, rng, refine, chunk, lowest=True)
     best_val = float(vals[0])
     best_locs = cands[0]
-    neg = -wmat
-    for locs in cands:
-        val, out, _, _, _ = _seesaw_run(neg, dims, locs)
+    for val, out, _, _, _ in _seesaw_batch(-wmat, dims, cands):
         if -val < best_val:
             best_val = -val
             best_locs = out

@@ -412,3 +412,34 @@ def test_main_looks_up_the_handler_on_every_call(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_encode", lambda args: {"command": "patched", "bits": args.bits})
     second = run_json(capsys, "encode", state, "--bits", "8", "--no-meta")
     assert second == {"bits": 8, "command": "patched"}
+
+
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "optimize", str(deep))
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("dims", [[True, 4], [2.5, 1.6], ["2", "2"], [2.0, 2.0]])
+def test_non_integer_dims_are_parse_error(tmp_path, capsys, dims):
+    doc = json.loads((DATA / "entangled_accept.json").read_text())
+    doc["dims"] = dims
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "optimize", str(path), "--no-meta")
+    assert code == 2, err
+    assert out == ""
+    assert "must be integers" in err and repr(dims[0]) in err
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_parrep_repeat_below_one_is_parse_error(capsys, repeat):
+    code, out, err = run_cli(
+        capsys, "parrep", f"{DATA}/entangled_accept_sep1.json", "--repeat", repeat, "--no-meta"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--repeat" in err

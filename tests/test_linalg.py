@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -366,3 +367,19 @@ def test_non_finite_imaginary_part_raises_without_warning(bad):
             operator_from_dict(op)
         with pytest.raises(ValueError, match="finite"):
             state_from_dict(state)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2", None, [2]])
+def test_non_integer_dims_are_rejected_naming_the_entry(bad):
+    op = {"dims": [bad, 2], "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}
+    with pytest.raises(ValueError, match="must be integers, got " + re.escape(repr(bad))):
+        operator_from_dict(op)
+    state = {"dims": [2, bad], "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
+    with pytest.raises(ValueError, match="must be integers"):
+        state_from_dict(state)
+
+
+def test_numpy_integer_dims_are_accepted():
+    shape = MultipartiteShape([np.int64(2), np.int32(3)])
+    assert shape.dims == (2, 3)
+    assert all(type(d) is int for d in shape.dims)
