@@ -635,10 +635,16 @@ def protocol_from_dict(doc: dict) -> tuple[BellProtocol, list[HermitianOperator]
 
     Absent proofs default to the maximally mixed state per prover.
     """
-    from .linalg import MultipartiteShape, operator_from_dict
+    from .linalg import MultipartiteShape, _is_integer, operator_from_dict
+
+    def int_field(key: str) -> int:
+        value = doc[key]
+        if not _is_integer(value):
+            raise ValueError(f"protocol field {key!r} must be an integer, got {value!r}")
+        return int(value)
 
     try:
-        n, m, r = int(doc["n"]), int(doc["m"]), int(doc["r"])
+        n, m, r = int_field("n"), int_field("m"), int_field("r")
         povms = tuple(
             tuple(operator_from_dict(e) for e in povm) for povm in doc["povms"]
         )

@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 
@@ -39,10 +40,10 @@ from .bellqma import (
 from .encoding import (
     apply_plan,
     decode_state,
+    default_precision,
     description_error_bound,
     description_to_hex,
     encode_state,
-    encoding_error,
     plan_to_dict,
     preparation_plan,
 )
@@ -59,6 +60,8 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_PARTY = 4
 EXIT_TABLE = 5
+
+MAX_BITS = 1023  # largest encode --bits
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -153,6 +156,8 @@ def cmd_oracle(args) -> dict:
 def cmd_parrep(args) -> dict:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     c1 = separable_from_dict(_load_json(args.instance))
     c2 = separable_from_dict(_load_json(args.second)) if args.second else c1
     _check_dim(c1.shape.total * c2.shape.total, args.max_dim)
@@ -261,21 +266,30 @@ def cmd_bellqma(args) -> dict:
 def cmd_encode(args) -> dict:
     psi = state_from_dict(_load_json(args.state))
     _check_dim(psi.shape.total, args.max_dim)
-    desc = encode_state(psi, args.bits)
+    bits = default_precision(psi.shape.total) if args.bits is None else args.bits
+    if bits > MAX_BITS:
+        # decode_state divides by float(2**bits); 2**1023 is the largest
+        # power of two a float holds.
+        if args.bits is None:
+            raise ValueError(
+                f"default precision 20 N = {bits} exceeds the --bits limit of {MAX_BITS}; pass --bits"
+            )
+        raise ValueError(f"--bits {bits} exceeds the --bits limit of {MAX_BITS}")
+    desc = encode_state(psi, bits)
+    decoded = decode_state(desc)
     doc = {
         "command": "encode",
         "dimension": desc.dimension,
         "precision_bits": desc.precision_bits,
         "register_hex": description_to_hex(desc),
         "error_bound": description_error_bound(desc),
-        "measured_error": encoding_error(psi, desc),
+        # encoding_error(psi, desc), on the decode made once above
+        "measured_error": float(np.linalg.norm(psi.amplitudes - decoded.amplitudes)),
     }
     if args.plan:
-        plan = preparation_plan(decode_state(desc))
+        plan = preparation_plan(decoded)
         doc["plan"] = plan_to_dict(plan)
-        doc["plan_error"] = float(
-            np.linalg.norm(apply_plan(plan) - decode_state(desc).amplitudes)
-        )
+        doc["plan_error"] = float(np.linalg.norm(apply_plan(plan) - decoded.amplitudes))
     return doc
 
 
@@ -323,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enc = sub.add_parser("encode", help="classical description of a pure state")
     p_enc.add_argument("state", help="state JSON document")
-    p_enc.add_argument("--bits", type=int, default=None)
+    p_enc.add_argument(
+        "--bits", type=int, default=None, help=f"fractional bits, at most {MAX_BITS} (default 20 N)"
+    )
     p_enc.add_argument("--plan", action="store_true", help="include a preparation plan")
     _add_common(p_enc)
     return parser

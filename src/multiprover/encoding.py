@@ -6,6 +6,11 @@ error obeys ||psi - psi'|| <= N * 2**-(f+1) for N >= 2, where psi' is the
 renormalized decode; with the default f = 20 N the error is far below
 any measurement resolution used elsewhere in this package.
 
+Rounding and the exact error check run on Python integers: a float
+amplitude is n / 2**e exactly (``float.as_integer_ratio``), so every
+amplitude and every component is an integer numerator over one
+power-of-two denominator and no step rounds.
+
 A preparation plan turns a description into a short classical circuit:
 N diagonal phases and N-1 Givens rotations that carry the basis state
 e_0 onto the target. Verifying a plan needs only its application to e_0.
@@ -60,19 +65,32 @@ def default_precision(dimension: int) -> int:
     return 20 * int(dimension)
 
 
+def _dyadic(x: float) -> tuple[int, int]:
+    """(n, e) with x == n / 2**e exactly and e >= 0."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
 def _round_fixed(x: float, f: int) -> int:
-    # Exact round-to-nearest of x * 2**f (ties to even via Fraction).
-    return round(Fraction(x) * (1 << f))
+    # Exact round-to-nearest of x * 2**f, ties to even.
+    n, e = _dyadic(x)
+    if e <= f:
+        return n << (f - e)
+    s = e - f
+    q = n >> s  # floor, also for negative n
+    r = n - (q << s)
+    half = 1 << (s - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    return q
 
 
 def encode_state(psi: PureState, bits: int | None = None) -> ClassicalStateDescription:
     """Round each amplitude to the nearest multiple of 2**-bits."""
     n = psi.shape.total
     f = default_precision(n) if bits is None else int(bits)
-    comps = [
-        (_round_fixed(float(a.real), f), _round_fixed(float(a.imag), f))
-        for a in psi.amplitudes
-    ]
+    re, im = psi.amplitudes.real.tolist(), psi.amplitudes.imag.tolist()
+    comps = [(_round_fixed(a, f), _round_fixed(b, f)) for a, b in zip(re, im)]
     return ClassicalStateDescription(n, f, comps)
 
 
@@ -105,13 +123,23 @@ def encoding_error_squared_exact(psi: PureState, desc: ClassicalStateDescription
     fixed-point description carries no roundoff. At high precision
     (f beyond ~50 bits) this is the only way to check the 2**-(f+1)
     rounding bound: float arithmetic cannot resolve it.
+
+    The sum runs on integers: every amplitude n / 2**e and every component
+    c / 2**f is written over the common denominator 2**L, L = max(f, every e),
+    and the squared numerator differences are summed exactly.
     """
-    scale = 1 << desc.precision_bits
-    acc = Fraction(0)
-    for a, (nre, nim) in zip(psi.amplitudes, desc.components):
-        acc += (Fraction(float(a.real)) - Fraction(nre, scale)) ** 2
-        acc += (Fraction(float(a.imag)) - Fraction(nim, scale)) ** 2
-    return acc
+    f = desc.precision_bits
+    re, im = psi.amplitudes.real.tolist(), psi.amplitudes.imag.tolist()
+    terms = []
+    for a, b, (cre, cim) in zip(re, im, desc.components):
+        terms.append((_dyadic(a), cre))
+        terms.append((_dyadic(b), cim))
+    top = max([f] + [e for (_, e), _ in terms])
+    acc = 0
+    for (n, e), c in terms:
+        diff = (n << (top - e)) - (c << (top - f))
+        acc += diff * diff
+    return Fraction(acc, 1 << (2 * top))
 
 
 # -- hex serialization --------------------------------------------------------

@@ -31,12 +31,16 @@ class ConvergenceError(RuntimeError):
     """An iterative kernel failed to converge."""
 
 
+def _is_integer(value) -> bool:
+    # bool is an int subclass; floats and strings would be truncated or
+    # parsed by int() instead of rejected.
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
     out = tuple(dims)
     for d in out:
-        # bool is an int subclass; floats and strings would be truncated or
-        # parsed by int() instead of rejected.
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        if not _is_integer(d):
             raise ValueError(f"subsystem dimensions must be integers, got {d!r} in {list(out)!r}")
     out = tuple(int(d) for d in out)
     if not out:

@@ -443,3 +443,48 @@ def test_parrep_repeat_below_one_is_parse_error(capsys, repeat):
     assert code == 2
     assert out == ""
     assert "--repeat" in err
+
+
+def test_encode_bits_limit(capsys):
+    state = f"{DATA}/plus_state.json"
+    doc = run_json(capsys, "encode", state, "--bits", "1023", "--plan", "--no-meta")
+    assert doc["precision_bits"] == 1023
+    for bits in ("1024", "100000"):
+        code, out, err = run_cli(capsys, "encode", state, "--bits", bits, "--no-meta")
+        assert code == 2
+        assert out == ""
+        assert "--bits limit of 1023" in err
+
+
+def test_encode_default_precision_beyond_bits_limit(tmp_path, capsys):
+    # the default precision is 20 N bits, so N = 52 asks for 1040
+    path = tmp_path / "basis52.json"
+    path.write_text(json.dumps({"dims": [52], "re": [1.0] + [0.0] * 51, "im": [0.0] * 52}))
+    code, out, err = run_cli(capsys, "encode", str(path), "--no-meta")
+    assert code == 2
+    assert out == ""
+    assert "1040" in err and "--bits limit of 1023" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_parrep_bad_tol_is_parse_error(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "parrep", f"{DATA}/classical_corr.json", "--tol", tol, "--no-meta"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 2.7), ("m", True), ("r", 2.0), ("n", "1")]
+)
+def test_non_integer_protocol_field_is_parse_error(tmp_path, capsys, field, value):
+    doc = json.loads((DATA / "protocol_m2r2.json").read_text())
+    doc[field] = value
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "bellqma", str(path), "--trials", "5", "--no-meta")
+    assert code == 2
+    assert out == ""
+    assert f"protocol field {field!r} must be an integer" in err and repr(value) in err

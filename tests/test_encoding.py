@@ -6,6 +6,7 @@ import pytest
 from multiprover.encoding import (
     ClassicalStateDescription,
     PreparationPlan,
+    _round_fixed,
     apply_plan,
     apply_plan_adjoint,
     decode_state,
@@ -102,6 +103,63 @@ def test_error_bound_exact_at_high_precision():
         err2 = encoding_error_squared_exact(psi, desc)
         bound = Fraction(n, 1 << 61)
         assert err2 <= bound * bound
+
+
+def _reference_round_fixed(x, f):
+    # The earlier Fraction form: round-half-even of x * 2**f.
+    return round(Fraction(x) * (1 << f))
+
+
+def _reference_error_squared(psi, desc):
+    scale = 1 << desc.precision_bits
+    acc = Fraction(0)
+    for a, (nre, nim) in zip(psi.amplitudes, desc.components):
+        acc += (Fraction(float(a.real)) - Fraction(nre, scale)) ** 2
+        acc += (Fraction(float(a.imag)) - Fraction(nim, scale)) ** 2
+    return acc
+
+
+def _assert_matches_reference(psi, f):
+    desc = encode_state(psi, bits=f)
+    want = tuple(
+        (_reference_round_fixed(float(a.real), f), _reference_round_fixed(float(a.imag), f))
+        for a in psi.amplitudes
+    )
+    assert desc.components == want
+    got, ref = encoding_error_squared_exact(psi, desc), _reference_error_squared(psi, desc)
+    assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+
+
+REFERENCE_BITS = (1, 52, 53, 54, 60, 200, 1023)
+TINY = 2.0 ** -1074
+
+
+@pytest.mark.parametrize("f", REFERENCE_BITS)
+def test_integer_rounding_matches_fraction_reference_on_special_values(f):
+    # (2k + 1) 2**-(f+1) is an exact tie between k and k + 1: both parities
+    # of the quotient, on both signs
+    ties = [(2 * k + 1) * 2.0 ** -(f + 1) for k in (0, 1, 2, 3, 6, 7)]
+    values = [0.0, -0.0, TINY, -TINY, 0.5, 0.25 + 2.0 ** -53, 3 * 2.0 ** -40]
+    values += ties + [-t for t in ties]
+    for x in values:
+        assert _round_fixed(x, f) == _reference_round_fixed(x, f), (x, f)
+    small = [x for x in values if abs(x) <= 0.5]
+    for re, im in zip(small, reversed(small)):
+        rest = (1.0 - 2 * (re * re + im * im)) ** 0.5
+        psi = PureState([3], [complex(re, im), complex(im, re), rest])
+        _assert_matches_reference(psi, f)
+
+
+@pytest.mark.parametrize("f", REFERENCE_BITS)
+def test_integer_encoding_matches_fraction_reference_on_haar_states(f):
+    rng = default_rng(9)
+    for n in range(1, 65):
+        psi = haar_state([n], rng)
+        if n % 4 == 0:
+            amps = psi.amplitudes.copy()
+            amps[n // 2] = 0.0
+            psi = PureState.normalized([n], amps)
+        _assert_matches_reference(psi, f)
 
 
 def test_complex_amplitudes_round_trip():
