@@ -23,14 +23,22 @@ A proof is either k IID copies of one state (``IidProofModel``) or an
 explicit list of copies (``ExplicitProofModel``), which is held as
 (state, multiplicity) groups: copies sharing one entries array form one
 group, so step 4 samples one binomial per distinct state however large k
-is. Step 5 draws all q * m outcomes of a trial in one batch of 32-bit
-words, the same words that q * m sequential ``rng.bytes`` draws would
-read, and reads the acceptance probabilities from the stage-2 table in
-one indexing step; ``rng.random()`` is drawn only for the runs whose
-probability is strictly between 0 and 1, after all outcomes are drawn.
-Step 5 is the last use of a trial's generator, so on 0/1 stage-2 tables
-every verification is the same as with one draw at a time; on fractional
-tables the draws come in a different order.
+is.
+
+``estimate_acceptance`` verifies its trials in blocks of ``_TRIAL_BLOCK``,
+each trial on its own spawned generator. Message checks and step 3 run
+once per block, and the step-4 binomial probabilities once per (prover,
+outcome) pick, at the first trial that makes it. Each trial then draws,
+from its own generator and in this order, the pick, the binomial(s) and,
+if it passes step 4, its q * m step-5 outcomes as 32-bit words: the same
+words that q * m sequential ``rng.bytes`` draws would read. After the
+block, the words of every passing trial are inverted in one pass per
+prover and looked up in the stage-2 table in one indexing step; last,
+each trial draws ``rng.random()`` for its runs whose acceptance
+probability is strictly between 0 and 1. ``arthur_verify`` is a block of
+one. Step 5 is the last use of a trial's generator, so on 0/1 stage-2
+tables every verification is the same as with one draw at a time; on
+fractional tables the draws come in a different order.
 
 Honest senders fail with probability at most
 ``2 exp(-5 p / 4) + 2 exp(-0.02 q)``; a sender whose claimed
@@ -57,6 +65,7 @@ from .rand import default_rng
 STAGE2_TABLE_CAP = 10 ** 6
 INT64_MAX = 2 ** 63 - 1
 DENSITY_TOL = 1e-10
+_TRIAL_BLOCK = 1024  # trials spawned and verified together by estimate_acceptance
 
 
 class TableCapacityError(RuntimeError):
@@ -77,6 +86,8 @@ class ProtocolParams:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if self.k > INT64_MAX:
+            raise OverflowError(f"copy count k = {self.k} exceeds the 63-bit sampling limit")
 
 
 def derive_params(n: int, m: int, r: int) -> ProtocolParams:
@@ -84,10 +95,7 @@ def derive_params(n: int, m: int, r: int) -> ProtocolParams:
     if min(n, m, r) < 1:
         raise ValueError("n, m, r must all be positive")
     p = 20 * m * r
-    k = 5 * p ** 3
-    if k > INT64_MAX:
-        raise OverflowError(f"copy count k = {k} exceeds the 63-bit sampling limit")
-    return ProtocolParams(p=p, k=k, q=50 * n, alpha=20 * n * m * r)
+    return ProtocolParams(p=p, k=5 * p ** 3, q=50 * n, alpha=20 * n * m * r)
 
 
 @dataclass(frozen=True)
@@ -212,13 +220,26 @@ class ExplicitProofModel:
     groups: tuple[tuple[HermitianOperator, int], ...]
 
     def __init__(self, states):
+        self._set_groups((s, 1) for s in states)
+
+    @classmethod
+    def _from_groups(cls, groups) -> "ExplicitProofModel":
+        # (state, multiplicity) pairs instead of one reference per copy;
+        # grouped and checked exactly as the copies would be.
+        model = cls.__new__(cls)
+        model._set_groups(groups)
+        return model
+
+    def _set_groups(self, pairs) -> None:
         by_id: dict[int, list] = {}
-        for s in states:
+        for s, n in pairs:
+            if not isinstance(n, int) or n < 1:
+                raise ValueError(f"copy multiplicity must be a positive integer, got {n!r}")
             group = by_id.get(id(s.entries))
             if group is None:
-                by_id[id(s.entries)] = [s, 1]
+                by_id[id(s.entries)] = [s, n]
             else:
-                group[1] += 1
+                group[1] += n
         if not by_id:
             raise ValueError("need at least one copy")
         for s, _ in by_id.values():
@@ -309,11 +330,19 @@ def _fixed_point_draws(
     bytes, so one call reads exactly the words that n * len(rows) sequential
     ``rng.bytes(ceil(alpha / 8))`` draws, in (t, j) order, would.
     """
-    nbytes = (alpha + 7) // 8
-    nwords = (nbytes + 3) // 4
-    words = rng.integers(0, 2 ** 32, size=(n, len(rows), nwords), dtype=np.uint32)
-    stream = words.astype("<u4", copy=False).view(np.uint8)[..., :nbytes]
-    out = np.empty((n, len(rows)), dtype=np.intp)
+    words = rng.integers(0, 2 ** 32, size=(n, len(rows), _word_count(alpha)), dtype=np.uint32)
+    return _draws_from_words(rows, alpha, words)
+
+
+def _word_count(alpha: int) -> int:
+    # 32-bit words per draw: ceil(ceil(alpha / 8) / 4)
+    return ((alpha + 7) // 8 + 3) // 4
+
+
+def _draws_from_words(rows: Sequence[Sequence[int]], alpha: int, words: np.ndarray) -> np.ndarray:
+    # words: (n, len(rows), _word_count(alpha)) uint32; one _invert_cdf per row.
+    stream = words.astype("<u4", copy=False).view(np.uint8)[..., : (alpha + 7) // 8]
+    out = np.empty(words.shape[:2], dtype=np.intp)
     for j, row in enumerate(rows):
         out[:, j] = _invert_cdf(row, alpha, stream[:, j])
     return out
@@ -406,15 +435,15 @@ def alternating_message(
         w, v = np.linalg.eigh(rho.entries)
         w = np.clip(w, 0.0, None)
         counts = _apportion(w / w.sum(), params.k)
-        copies = []
+        groups = []
         mix = np.zeros_like(rho.entries)
         for lam_count, col in zip(counts, v.T):
             if lam_count == 0:
                 continue
             proj = np.outer(col, col.conj())
-            copies.extend([HermitianOperator(rho.shape, proj)] * lam_count)
+            groups.append((HermitianOperator(rho.shape, proj), lam_count))
             mix += (lam_count / params.k) * proj
-        ys.append(ExplicitProofModel(copies))
+        ys.append(ExplicitProofModel._from_groups(groups))
         probs = stage1_distribution(protocol, j, HermitianOperator(rho.shape, mix))
         xs.append(fixed_point_distribution(probs, params.alpha))
     return MerlinMessage(alpha=params.alpha, x_register=tuple(xs), y_register=tuple(ys))
@@ -474,18 +503,18 @@ def _checked_groups(y: ExplicitProofModel, k: int):
     return y.groups
 
 
-def _step4_count(protocol, message, params, j, i, rng) -> int:
+def _step4_binomials(protocol, message, params, j, i) -> list[tuple[int, float]]:
+    # (copies, probability) of each binomial that counts outcome i of prover j
     y = message.y_register[j]
     if isinstance(y, IidProofModel):
         probs = stage1_distribution(protocol, j, y.rho)
         prob = float(np.clip(probs, 0.0, 1.0)[i] / max(np.clip(probs, 0.0, None).sum(), 1.0))
-        return int(rng.binomial(params.k, min(prob, 1.0)))
-    n = 0
+        return [(params.k, min(prob, 1.0))]
+    out = []
     for s, mult in _checked_groups(y, params.k):
         probs = np.clip(stage1_distribution(protocol, j, s), 0.0, None)
-        prob = min(float(probs[i] / max(probs.sum(), 1.0)), 1.0)
-        n += int(rng.binomial(mult, prob))
-    return n
+        out.append((mult, min(float(probs[i] / max(probs.sum(), 1.0)), 1.0)))
+    return out
 
 
 def step4_frequency_test(n: int, claim_numerator: int, params: ProtocolParams) -> bool:
@@ -505,42 +534,70 @@ def arthur_verify(
     rng=None,
 ) -> VerificationOutcome:
     """One full verification; see the module docstring for the three steps."""
-    rng = default_rng(rng)
+    return _verify_trials(protocol, message, params, [default_rng(rng)])[0]
+
+
+def _verify_trials(
+    protocol: BellProtocol,
+    message: MerlinMessage,
+    params: ProtocolParams,
+    children: Sequence[np.random.Generator],
+) -> list[VerificationOutcome]:
+    """One verification of ``message`` per generator, as a block."""
     m, r = protocol.m, protocol.r
-    if len(message.x_register) != m:
-        raise ValueError(f"message covers {len(message.x_register)} provers, expected {m}")
+    rows = message.x_register
+    if len(rows) != m:
+        raise ValueError(f"message covers {len(rows)} provers, expected {m}")
     if message.alpha != params.alpha:
         raise ValueError(
             f"message uses alpha = {message.alpha}, verifier expects {params.alpha}"
         )
-    for row in message.x_register:
+    for row in rows:
         if len(row) != r:
             raise ValueError(f"claim row of length {len(row)}, expected {r}")
 
     # Step 3: exact fixed-point sum check.
     scale = 1 << params.alpha
-    for row in message.x_register:
-        if sum(row) != scale:
-            return VerificationOutcome(False, "step3", None, None)
+    if any(sum(row) != scale for row in rows):
+        return [VerificationOutcome(False, "step3", None, None)] * len(children)
 
-    # Step 4: one uniformly random frequency test.
-    j = int(rng.integers(m))
-    i = int(rng.integers(r))
-    n = _step4_count(protocol, message, params, j, i, rng)
-    if not step4_frequency_test(n, message.x_register[j][i], params):
-        return VerificationOutcome(False, "step4", (j, i), n)
+    # Step 4: one uniformly random frequency test per trial. Trials that
+    # pass draw their q * m step-5 words at once, as the last draw before
+    # the fractional acceptances below.
+    outcomes: list = [None] * len(children)
+    binomials: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    passed = []
+    words = []
+    shape = (params.q, m, _word_count(params.alpha))
+    for t, child in enumerate(children):
+        j = int(child.integers(m))
+        i = int(child.integers(r))
+        pick = binomials.get((j, i))
+        if pick is None:
+            pick = binomials[j, i] = _step4_binomials(protocol, message, params, j, i)
+        n = sum(int(child.binomial(copies, prob)) for copies, prob in pick)
+        if not step4_frequency_test(n, rows[j][i], params):
+            outcomes[t] = VerificationOutcome(False, "step4", (j, i), n)
+            continue
+        passed.append((t, (j, i), n))
+        words.append(child.integers(0, 2 ** 32, size=shape, dtype=np.uint32))
+    if not passed:
+        return outcomes
 
-    # Step 5: majority over q simulated runs of the classical stage, all
-    # q * m outcomes drawn in one batch.
-    outcomes = _fixed_point_draws(message.x_register, params.alpha, params.q, rng)
-    pr = protocol.stage2.table[tuple(outcomes.T)]
-    frac = pr[(pr > 0.0) & (pr < 1.0)]
-    accepting = int(np.count_nonzero(pr >= 1.0)) + int(
-        np.count_nonzero(rng.random(frac.size) < frac)
+    # Step 5: majority over q simulated runs of the classical stage, for
+    # every passing trial at once.
+    draws = _draws_from_words(rows, params.alpha, np.concatenate(words))
+    pr = protocol.stage2.table[tuple(draws.T)].reshape(len(passed), params.q)
+    frac = (pr > 0.0) & (pr < 1.0)
+    counts = np.count_nonzero(frac, axis=1).tolist()
+    u = np.concatenate([children[t].random(c) for (t, _, _), c in zip(passed, counts)])
+    accepting = np.count_nonzero(pr >= 1.0, axis=1) + np.bincount(
+        np.nonzero(frac)[0][u < pr[frac]], minlength=len(passed)
     )
-    if 2 * accepting <= params.q:
-        return VerificationOutcome(False, "step5", (j, i), n)
-    return VerificationOutcome(True, None, (j, i), n)
+    for (t, pick, n), a in zip(passed, accepting.tolist()):
+        accepted = 2 * a > params.q
+        outcomes[t] = VerificationOutcome(accepted, None if accepted else "step5", pick, n)
+    return outcomes
 
 
 _Z95 = 1.959963984540054
@@ -583,12 +640,20 @@ def estimate_acceptance(
     rng = default_rng(rng)
     outcomes = []
     accepted = 0
-    for child in rng.spawn(trials):
-        message = merlin(child) if callable(merlin) else merlin
-        out = arthur_verify(protocol, message, params, child)
-        accepted += bool(out.accepted)
+    # spawn(a) then spawn(b) gives the children of spawn(a + b), so the
+    # blocks bound memory without moving any trial's stream.
+    for start in range(0, trials, _TRIAL_BLOCK):
+        children = rng.spawn(min(_TRIAL_BLOCK, trials - start))
+        if callable(merlin):
+            block = [
+                _verify_trials(protocol, merlin(child), params, [child])[0]
+                for child in children
+            ]
+        else:
+            block = _verify_trials(protocol, merlin, params, children)
+        accepted += sum(out.accepted for out in block)
         if collect:
-            outcomes.append(out)
+            outcomes += block
     lo, hi = wilson_interval(accepted, trials)
     result = {
         "mean": accepted / trials,

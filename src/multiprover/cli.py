@@ -268,8 +268,8 @@ def cmd_encode(args) -> dict:
     _check_dim(psi.shape.total, args.max_dim)
     bits = default_precision(psi.shape.total) if args.bits is None else args.bits
     if bits > MAX_BITS:
-        # decode_state divides by float(2**bits); 2**1023 is the largest
-        # power of two a float holds.
+        # A bound on the register the command prints, not on decoding:
+        # decode_state is correct at any precision.
         if args.bits is None:
             raise ValueError(
                 f"default precision 20 N = {bits} exceeds the --bits limit of {MAX_BITS}; pass --bits"

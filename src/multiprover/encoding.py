@@ -96,9 +96,10 @@ def encode_state(psi: PureState, bits: int | None = None) -> ClassicalStateDescr
 
 def decode_state(desc: ClassicalStateDescription) -> PureState:
     """Renormalized state from a description; the zero description is an error."""
-    scale = float(1 << desc.precision_bits)
+    # int true division is correctly rounded at any precision
+    scale = 1 << desc.precision_bits
     v = np.array(
-        [complex(a, b) / scale for a, b in desc.components], dtype=np.complex128
+        [complex(a / scale, b / scale) for a, b in desc.components], dtype=np.complex128
     )
     nrm = np.linalg.norm(v)
     if nrm == 0.0:

@@ -75,6 +75,13 @@ def test_derive_params_overflow():
         derive_params(1, 700, 100)
 
 
+def test_params_k_above_63_bits():
+    # the copy count feeds rng.binomial, which takes a signed 64-bit count
+    assert ProtocolParams(p=1, k=2 ** 63 - 1, q=1, alpha=1).k == 2 ** 63 - 1
+    with pytest.raises(OverflowError, match="63-bit sampling limit"):
+        ProtocolParams(p=1, k=2 ** 63, q=1, alpha=1)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ProtocolParams(p=0, k=1, q=1, alpha=1)

@@ -298,6 +298,23 @@ def test_bellqma_mixed_y_guard(capsys):
     assert "--k" in err
 
 
+def test_bellqma_k_above_63_bits(capsys):
+    # the copy count is a 63-bit sampler argument; one above it is a
+    # capacity error that names the limit, not numpy's conversion error
+    for k in (2 ** 63, 10 ** 30):
+        code, out, err = run_cli(
+            capsys, "bellqma", f"{DATA}/protocol_m2r2.json", "--k", str(k), "--trials", "5"
+        )
+        assert code == 3
+        assert out == ""
+        assert f"k = {k}" in err and "63-bit sampling limit" in err
+    doc = run_json(
+        capsys, "bellqma", f"{DATA}/protocol_m2r2.json", "--k", str(2 ** 63 - 1),
+        "--trials", "2", "--no-meta",
+    )
+    assert doc["params"]["k"] == 2 ** 63 - 1
+
+
 def test_bellqma_mixed_y_small_k(capsys):
     doc = run_json(
         capsys,

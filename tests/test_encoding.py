@@ -72,6 +72,54 @@ def test_decode_renormalizes():
         decode_state(ClassicalStateDescription(2, 10, [(0, 0), (0, 0)]))
 
 
+def _float_division_decode(desc):
+    # decode_state as it read with float division, good only up to f = 1023
+    scale = float(1 << desc.precision_bits)
+    v = np.array([complex(a, b) / scale for a, b in desc.components], dtype=np.complex128)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("f", [1, 2, 11, 52, 53, 54, 64, 300, 971, 1000, 1022, 1023])
+def test_decode_matches_float_division_below_1024_bits(f):
+    # int true division rounds once, like float(a) / 2**f, whose division
+    # by a power of two is exact: the decoded bytes are the same
+    rng = default_rng(f)
+    lim = 1 << f
+    comps = [(lim, 0), (-lim, lim), (1, -1), (0, 1)]
+    for _ in range(60):
+        bits = int(rng.integers(1, f + 1))
+        a, b = (int.from_bytes(rng.bytes((bits + 7) // 8), "big") >> (-bits % 8) for _ in "ab")
+        comps.append((a if rng.random() < 0.5 else -a, b if rng.random() < 0.5 else -b))
+    desc = ClassicalStateDescription(len(comps), f, comps)
+    got = decode_state(desc).amplitudes
+    assert got.tobytes() == _float_division_decode(desc).tobytes()
+    rng = default_rng(1000 + f)
+    for n in (2, 9):
+        desc = encode_state(haar_state([n], rng), bits=f)
+        got = decode_state(desc).amplitudes
+        assert got.tobytes() == _float_division_decode(desc).tobytes()
+
+
+def test_decode_above_1023_bits():
+    # the default precision 20 N passes 1023 bits from N = 52 on
+    rng = default_rng(52)
+    psi = haar_state([52], rng)
+    desc = encode_state(psi)
+    assert desc.precision_bits == default_precision(52) == 1040
+    back = decode_state(desc)
+    scale = 1 << desc.precision_bits
+    want = np.array(
+        [complex(float(Fraction(a, scale)), float(Fraction(b, scale))) for a, b in desc.components]
+    )
+    assert back.amplitudes.tobytes() == (want / np.linalg.norm(want)).tobytes()
+    assert encoding_error(psi, desc) <= 1e-15
+    accept = HermitianOperator([52], np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    assert simulate_mqa_protocol([desc], accept) == pytest.approx(1.0, abs=1e-12)
+    # 2**-1100 underflows to 0.0 instead of raising
+    tiny = ClassicalStateDescription(2, 1100, [(1 << 1050, 0), (1, 0)])
+    assert decode_state(tiny).amplitudes.tolist() == [1.0, 0.0]
+
+
 def test_decoded_norm_drift_within_bound():
     rng = default_rng(0)
     for _ in range(50):

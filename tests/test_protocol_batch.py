@@ -1,8 +1,8 @@
-"""The grouped explicit-proof model and the batched step-5 sampler.
+"""The grouped explicit-proof model and the batched verifier.
 
 Each verification is checked against a reference written the way the
-verifier used to run: copies regrouped by identity on every step-4 count,
-and one ``rng.bytes`` draw per outcome of step 5.
+verifier used to run: one trial at a time, copies regrouped by identity on
+every step-4 count, and one ``rng.bytes`` draw per outcome of step 5.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from multiprover.bellqma import (
     arthur_verify,
     estimate_acceptance,
     honest_message,
+    message_from_distributions,
     stage1_distribution,
     step4_frequency_test,
 )
@@ -76,7 +77,11 @@ def reference_step4(protocol, message, params, j, i, rng):
     return n
 
 
-def reference_verify(protocol, message, params, rng):
+def reference_verify(protocol, message, params, rng, *, fractional_last=False):
+    # fractional_last: draw every step-5 outcome first, then rng.random()
+    # for the runs with fractional acceptance, in run order, as the batched
+    # verifier does; without it the draws interleave, which matches the
+    # batched verifier only on 0/1 stage-2 tables
     rng = default_rng(rng)
     m, r = protocol.m, protocol.r
     scale = 1 << params.alpha
@@ -89,11 +94,17 @@ def reference_verify(protocol, message, params, rng):
     if not step4_frequency_test(n, message.x_register[j][i], params):
         return VerificationOutcome(False, "step4", (j, i), n)
     accepting = 0
+    prs = []
     for _ in range(params.q):
         outcome = tuple(
             reference_sample(message.x_register[jj], params.alpha, rng) for jj in range(m)
         )
         pr = protocol.stage2.accept_probability(outcome)
+        if fractional_last:
+            prs.append(pr)
+        elif pr >= 1.0 or (pr > 0.0 and rng.random() < pr):
+            accepting += 1
+    for pr in prs:
         if pr >= 1.0 or (pr > 0.0 and rng.random() < pr):
             accepting += 1
     if 2 * accepting <= params.q:
@@ -197,6 +208,100 @@ def test_estimate_acceptance_outcomes_match_reference():
     want = [reference_verify(protocol, msg, params, c) for c in children]
     assert res["outcomes"] == want
     assert len({o.accepted for o in want}) == 2  # both verdicts occur
+
+
+def estimate_matches_reference(protocol, merlin, params, trials, seed):
+    res = estimate_acceptance(protocol, merlin, params, trials, rng=seed, collect=True)
+    want = []
+    for child in default_rng(seed).spawn(trials):
+        msg = merlin(child) if callable(merlin) else merlin
+        want.append(reference_verify(protocol, msg, params, child, fractional_last=True))
+    assert res["outcomes"] == want
+    assert res["accepted"] == sum(o.accepted for o in want)
+    return want
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_estimate_acceptance_blocks_match_reference_on_every_child(m, alpha):
+    # IID, explicit and lying claims on 0/1, parity and fractional tables:
+    # every trial of a block equals the sequential verifier on its child
+    r = 3
+    tables = dict(stage2_tables(m, r))
+    tables["fractional"] = Stage2Acceptor.from_function(
+        lambda o: (0.0, 0.3, 1.0, 0.7)[sum(o) % 4], m, r
+    )
+    stages = set()
+    for name, stage2 in tables.items():
+        protocol, proofs = random_protocol(m, r, stage2, seed=100 * m + alpha)
+        params = ProtocolParams(p=8, k=400, q=7, alpha=alpha)
+        claims = [[0.6, 0.3, 0.1]] + [
+            stage1_distribution(protocol, j, rho) for j, rho in enumerate(proofs[1:], 1)
+        ]
+        messages = {
+            "iid": honest_message(protocol, proofs, params),
+            "alternating": alternating_message(protocol, proofs, params),
+            "lying": message_from_distributions(claims, proofs, params),
+        }
+        for kind, msg in messages.items():
+            want = estimate_matches_reference(protocol, msg, params, 25, seed=alpha + m)
+            stages.update(o.rejection_stage for o in want)
+    assert stages == {None, "step4", "step5"}
+
+
+def test_estimate_acceptance_step3_failure():
+    protocol, proofs = random_protocol(2, 2, Stage2Acceptor.accept_all(2, 2), seed=4)
+    params = ProtocolParams(p=8, k=400, q=7, alpha=16)
+    msg = honest_message(protocol, proofs, params)
+    short = type(msg)(msg.alpha, (msg.x_register[0], (1, 2)), msg.y_register)
+    want = estimate_matches_reference(protocol, short, params, 30, seed=9)
+    assert want == [VerificationOutcome(False, "step3", None, None)] * 30
+
+
+def test_estimate_acceptance_callable_merlin():
+    # a fresh message per trial, drawn from the trial's own generator
+    stage2 = Stage2Acceptor.from_function(lambda o: float(o[0] != o[1]), 2, 2)
+    protocol, proofs = random_protocol(2, 2, stage2, seed=5)
+    params = ProtocolParams(p=8, k=400, q=7, alpha=64)
+
+    def merlin(rng):
+        lie = float(rng.random())
+        claims = [[lie, 1.0 - lie], stage1_distribution(protocol, 1, proofs[1])]
+        return message_from_distributions(claims, proofs, params)
+
+    want = estimate_matches_reference(protocol, merlin, params, 40, seed=12)
+    assert len({o.rejection_stage for o in want}) > 1
+
+
+def test_estimate_acceptance_across_block_edges(monkeypatch):
+    import multiprover.bellqma as bellqma
+
+    stage2 = Stage2Acceptor.from_function(lambda o: 0.5 + 0.5 * (o[0] == o[1]), 2, 2)
+    protocol, proofs = random_protocol(2, 2, stage2, seed=6)
+    params = ProtocolParams(p=8, k=400, q=3, alpha=63)
+    msg = alternating_message(protocol, proofs, params)
+    estimate_matches_reference(protocol, msg, params, bellqma._TRIAL_BLOCK + 9, seed=13)
+    monkeypatch.setattr(bellqma, "_TRIAL_BLOCK", 4)
+    estimate_matches_reference(protocol, msg, params, 27, seed=14)
+    estimate_matches_reference(protocol, msg, params, 8, seed=15)
+
+
+def test_copy_count_mismatch_raises_at_the_first_trial_that_picks_it():
+    # prover 0 holds 399 copies for k = 400; the check runs only when a
+    # trial picks prover 0, as it did one trial at a time
+    protocol, proofs = random_protocol(2, 2, Stage2Acceptor.accept_all(2, 2), seed=7)
+    params = ProtocolParams(p=8, k=400, q=3, alpha=16)
+    honest = honest_message(protocol, proofs, params)
+    short = type(honest)(
+        params.alpha, honest.x_register, (ExplicitProofModel([proofs[0]] * 399), honest.y_register[1])
+    )
+    picks = [int(c.integers(2)) for c in default_rng(3).spawn(40)]
+    first = picks.index(0)
+    assert first > 0
+    res = estimate_acceptance(protocol, short, params, first, rng=3, collect=True)
+    assert [o.step4_pick[0] for o in res["outcomes"]] == [1] * first
+    with pytest.raises(ValueError, match="399 copies, expected 400"):
+        estimate_acceptance(protocol, short, params, first + 1, rng=3)
 
 
 def test_step5_acceptance_on_fractional_table():
