@@ -18,7 +18,7 @@ from multiprover import (
     random_separable_terms,
     spectral_norm,
     verify_perfect_repetition,
-    witness_min_product,
+    witness_evidence,
     witness_summands,
 )
 
@@ -56,7 +56,7 @@ def main():
     # The two dual-feasible halves behind the certificate
     print("\nwitness summands at (t1, t2) = (opt1, opt2):")
     for cand in witness_summands(c1, report.v1, c2, report.v2):
-        val = witness_min_product(cand.operator, samples=5000, rng=rng)
+        val = witness_evidence(cand.operator, samples=5000, rng=rng).min_value
         print(f"  min over products of {cand.label}: {val:+.3e}")
 
 

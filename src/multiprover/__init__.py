@@ -3,7 +3,7 @@
 The package covers four connected capabilities:
 
 * dense multipartite operator algebra (tensor, partial trace/transpose,
-  norms, spectral decompositions);
+  norms, spectra);
 * optimization of Hermitian forms over product states, with an
   independent sampled oracle;
 * separable-cone certificates: PPT screening, entanglement witnesses,
@@ -14,22 +14,19 @@ The package covers four connected capabilities:
   descriptions and preparation plans.
 """
 
+from types import ModuleType as _ModuleType
+
 from .linalg import (
     DIM_CAP,
     CapacityError,
-    ConvergenceError,
-    EigenDecomposition,
     HermitianOperator,
     MultipartiteShape,
     PureState,
     basis_state,
-    eigh,
     hs_inner,
     identity,
     operator_from_dict,
-    operator_from_json,
     operator_to_dict,
-    operator_to_json,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -56,11 +53,8 @@ from .separable import (
     is_povm,
     ppt_check,
     separable_from_dict,
-    separable_from_json,
     separable_to_dict,
-    separable_to_json,
     witness_evidence,
-    witness_min_product,
 )
 from .repetition import (
     DualSolution,
@@ -131,12 +125,16 @@ from .rand import (
     random_density,
     random_hermitian,
     random_povm,
-    random_product_locals,
     random_psd,
     random_separable_terms,
 )
-from . import instances, rand
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; each ``from .x import`` also binds the
+# submodule ``x`` here, and submodules are not exported.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -58,7 +58,14 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .linalg import HermitianOperator, hs_inner
+from .linalg import (
+    HermitianOperator,
+    MultipartiteShape,
+    _is_integer,
+    hs_inner,
+    operator_from_dict,
+    operator_to_dict,
+)
 from .separable import is_povm
 from .rand import default_rng
 
@@ -301,37 +308,23 @@ def fixed_point_distribution(probs: Sequence[float], alpha: int) -> tuple[int, .
     sum to exactly 2**alpha. Each entry moves by less than 2**-alpha
     relative to the renormalized input.
     """
-    scale = 1 << int(alpha)
-    vals = [Fraction(max(float(x), 0.0)) for x in probs]
-    total = sum(vals)
-    if total == 0:
+    return _largest_remainder(probs, 1 << int(alpha))
+
+
+def _largest_remainder(weights: Sequence[float], total: int) -> tuple[int, ...]:
+    # Split the integer total in proportion to the weights (negatives count
+    # as 0): exact-rational floors, then +1 by largest remainder, ties to
+    # the lower index.
+    vals = [Fraction(max(float(x), 0.0)) for x in weights]
+    mass = sum(vals)
+    if mass == 0:
         raise ValueError("cannot encode the zero vector as a distribution")
-    vals = [v / total for v in vals]
-    scaled = [v * scale for v in vals]
-    floors = [int(s) for s in scaled]  # Fractions are nonnegative: int() floors
-    remainders = [s - f for s, f in zip(scaled, floors)]
-    deficit = scale - sum(floors)
-    # Largest remainder; ties broken toward lower index for determinism.
-    order = sorted(range(len(vals)), key=lambda i: (-remainders[i], i))
-    for i in order[:deficit]:
+    scaled = [v / mass * total for v in vals]
+    floors = [int(v) for v in scaled]  # Fractions are nonnegative: int() floors
+    order = sorted(range(len(vals)), key=lambda i: (floors[i] - scaled[i], i))
+    for i in order[: total - sum(floors)]:
         floors[i] += 1
     return tuple(floors)
-
-
-def _fixed_point_draws(
-    rows: Sequence[Sequence[int]], alpha: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact inverse-CDF draws: an (n, len(rows)) array of outcome indices.
-
-    Draw (t, j) is a uniform alpha-bit integer u against the cumulative
-    numerators of ``rows[j]``: the first index whose cumulative sum exceeds
-    u, or the last index if none does. Each draw takes ceil(ceil(alpha/8)/4)
-    32-bit words, and u is the leading alpha bits of their little-endian
-    bytes, so one call reads exactly the words that n * len(rows) sequential
-    ``rng.bytes(ceil(alpha / 8))`` draws, in (t, j) order, would.
-    """
-    words = rng.integers(0, 2 ** 32, size=(n, len(rows), _word_count(alpha)), dtype=np.uint32)
-    return _draws_from_words(rows, alpha, words)
 
 
 def _word_count(alpha: int) -> int:
@@ -368,11 +361,6 @@ def _invert_cdf(weights: Sequence[int], alpha: int, stream: np.ndarray) -> np.nd
             u = int.from_bytes(stream[t].tobytes(), "big") >> (8 * stream.shape[1] - alpha)
             idx[t] = bisect.bisect_right(cum, u)
     return np.minimum(idx, len(cum) - 1)
-
-
-def _sample_fixed_point(weights: Sequence[int], alpha: int, rng: np.random.Generator) -> int:
-    """One exact inverse-CDF draw; see ``_fixed_point_draws``."""
-    return int(_fixed_point_draws([weights], alpha, 1, rng)[0, 0])
 
 
 # -- message construction -----------------------------------------------------
@@ -434,7 +422,7 @@ def alternating_message(
     for j, rho in enumerate(proofs):
         w, v = np.linalg.eigh(rho.entries)
         w = np.clip(w, 0.0, None)
-        counts = _apportion(w / w.sum(), params.k)
+        counts = _largest_remainder(w / w.sum(), params.k)
         groups = []
         mix = np.zeros_like(rho.entries)
         for lam_count, col in zip(counts, v.T):
@@ -447,19 +435,6 @@ def alternating_message(
         probs = stage1_distribution(protocol, j, HermitianOperator(rho.shape, mix))
         xs.append(fixed_point_distribution(probs, params.alpha))
     return MerlinMessage(alpha=params.alpha, x_register=tuple(xs), y_register=tuple(ys))
-
-
-def _apportion(weights: np.ndarray, k: int) -> list[int]:
-    # Integer apportionment of k slots proportional to weights.
-    exact = [Fraction(float(x)) * k for x in weights]
-    total = sum(exact)
-    exact = [e * k / total if total != k else e for e in exact]
-    floors = [int(e) for e in exact]
-    rem = [e - f for e, f in zip(exact, floors)]
-    order = sorted(range(len(floors)), key=lambda i: (-rem[i], i))
-    for i in order[: k - sum(floors)]:
-        floors[i] += 1
-    return floors
 
 
 def effective_single_copy_state(message: MerlinMessage, j: int) -> HermitianOperator:
@@ -674,8 +649,6 @@ def estimate_acceptance(
 
 
 def protocol_to_dict(protocol: BellProtocol, proofs=None) -> dict:
-    from .linalg import operator_to_dict
-
     stage2_table = protocol.stage2.table
     if np.all(stage2_table == 1.0):
         stage2 = {"kind": "accept_all"}
@@ -700,8 +673,6 @@ def protocol_from_dict(doc: dict) -> tuple[BellProtocol, list[HermitianOperator]
 
     Absent proofs default to the maximally mixed state per prover.
     """
-    from .linalg import MultipartiteShape, _is_integer, operator_from_dict
-
     def int_field(key: str) -> int:
         value = doc[key]
         if not _is_integer(value):

@@ -138,7 +138,7 @@ def cmd_optimize(args) -> dict:
     _check_dim(c.dim, args.max_dim)
     result = seesaw_max(c, restarts=args.restarts, rng=args.seed)
     doc = {"command": "optimize", "result": result.to_dict()}
-    if args.oracle_samples:
+    if args.oracle_samples is not None:
         doc["oracle_value"] = brute_force_max(
             c, samples=args.oracle_samples, rng=args.seed
         )

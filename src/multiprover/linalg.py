@@ -9,7 +9,6 @@ subsystem 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
@@ -25,10 +24,6 @@ STATE_NORM_TOL = 1e-12
 
 class CapacityError(RuntimeError):
     """Requested object exceeds the configured dense-dimension cap."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative kernel failed to converge."""
 
 
 def _is_integer(value) -> bool:
@@ -190,22 +185,6 @@ def identity(shape) -> HermitianOperator:
     return HermitianOperator(shape, np.eye(shape.total, dtype=np.complex128))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition; eigenvalues descending, eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __init__(self, eigenvalues, eigenvectors):
-        object.__setattr__(
-            self, "eigenvalues", _readonly(np.asarray(eigenvalues, dtype=np.float64))
-        )
-        object.__setattr__(
-            self, "eigenvectors", _readonly(np.asarray(eigenvectors, dtype=np.complex128))
-        )
-
-
 def tensor(a: HermitianOperator, b: HermitianOperator, *, max_dim: int = DIM_CAP) -> HermitianOperator:
     """Kronecker product with a's subsystems ahead of b's."""
     total = a.dim * b.dim
@@ -269,15 +248,6 @@ def permute_subsystems(a: HermitianOperator, perm: Sequence[int]) -> HermitianOp
     return HermitianOperator(MultipartiteShape(new_dims), t.reshape(d, d))
 
 
-def eigh(a: HermitianOperator) -> EigenDecomposition:
-    """Full spectral decomposition, eigenvalues in descending order."""
-    try:
-        w, v = np.linalg.eigh(a.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    return EigenDecomposition(w[::-1], v[:, ::-1])
-
-
 def trace_norm(a: HermitianOperator) -> float:
     """Sum of absolute eigenvalues."""
     return float(np.abs(np.linalg.eigvalsh(a.entries)).sum())
@@ -326,14 +296,6 @@ def operator_from_dict(doc: dict, *, tol: float = HERMITICITY_TOL) -> HermitianO
         raise ValueError("re/im parts must be matching 2-d matrices")
     _check_finite_parts(re, im, "matrix entries")
     return HermitianOperator(MultipartiteShape(dims), re + 1j * im, tol=tol)
-
-
-def operator_to_json(a: HermitianOperator, **kwargs) -> str:
-    return json.dumps(operator_to_dict(a), **kwargs)
-
-
-def operator_from_json(text: str, *, tol: float = HERMITICITY_TOL) -> HermitianOperator:
-    return operator_from_dict(json.loads(text), tol=tol)
 
 
 def state_to_dict(psi: PureState) -> dict:

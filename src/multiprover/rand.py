@@ -60,10 +60,6 @@ def random_povm(d: int, r: int, rng: np.random.Generator) -> tuple[HermitianOper
     return tuple(HermitianOperator(shape, inv_sqrt @ p @ inv_sqrt) for p in parts)
 
 
-def random_product_locals(dims: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
-    return [haar_vector(d, rng) for d in dims]
-
-
 def random_separable_terms(
     dims: Sequence[int], terms: int, rng: np.random.Generator
 ) -> list[tuple[HermitianOperator, ...]]:

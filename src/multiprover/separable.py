@@ -14,7 +14,6 @@ highest; the oracle itself still uses direct evaluation only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 
@@ -173,11 +172,6 @@ def witness_evidence(
     return WitnessEvidence(min_value=best_val, state=state, samples=samples)
 
 
-def witness_min_product(w: HermitianOperator, samples: int = 20_000, rng=None, **kwargs) -> float:
-    """Minimum of the witness form over product states (see witness_evidence)."""
-    return witness_evidence(w, samples=samples, rng=rng, **kwargs).min_value
-
-
 # -- serialization ------------------------------------------------------------
 #
 # {"dims": [...], "terms": [[factor, ...], ...]} with each factor an
@@ -199,11 +193,3 @@ def separable_from_dict(doc: dict) -> SeparableOperator:
         raise ValueError(f"malformed separable document: {exc}") from exc
     parsed = [tuple(operator_from_dict(f) for f in factors) for factors in terms]
     return SeparableOperator(MultipartiteShape(dims), parsed)
-
-
-def separable_to_json(s: SeparableOperator, **kwargs) -> str:
-    return json.dumps(separable_to_dict(s), **kwargs)
-
-
-def separable_from_json(text: str) -> SeparableOperator:
-    return separable_from_dict(json.loads(text))

@@ -31,7 +31,7 @@ from multiprover.bellqma import (
     step4_frequency_test,
     wilson_interval,
 )
-from multiprover.bellqma import _sample_fixed_point
+from multiprover.bellqma import _draws_from_words, _largest_remainder, _word_count
 from multiprover.linalg import HermitianOperator, basis_state, identity
 from multiprover.rand import default_rng
 
@@ -138,15 +138,93 @@ def test_fixed_point_distribution_rejects_zero():
     assert fixed_point_distribution([-1.0, 1.0], 2) == (0, 4)
 
 
+def _reference_fixed_point_distribution(probs, alpha):
+    # The earlier body of fixed_point_distribution.
+    scale = 1 << int(alpha)
+    vals = [Fraction(max(float(x), 0.0)) for x in probs]
+    total = sum(vals)
+    if total == 0:
+        raise ValueError("cannot encode the zero vector as a distribution")
+    vals = [v / total for v in vals]
+    scaled = [v * scale for v in vals]
+    floors = [int(s) for s in scaled]
+    remainders = [s - f for s, f in zip(scaled, floors)]
+    deficit = scale - sum(floors)
+    order = sorted(range(len(vals)), key=lambda i: (-remainders[i], i))
+    for i in order[:deficit]:
+        floors[i] += 1
+    return tuple(floors)
+
+
+def _reference_apportion(weights, k):
+    # The earlier copy-count split of alternating_message.
+    exact = [Fraction(float(x)) * k for x in weights]
+    total = sum(exact)
+    exact = [e * k / total if total != k else e for e in exact]
+    floors = [int(e) for e in exact]
+    rem = [e - f for e, f in zip(exact, floors)]
+    order = sorted(range(len(floors)), key=lambda i: (-rem[i], i))
+    for i in order[: k - sum(floors)]:
+        floors[i] += 1
+    return floors
+
+
+PROTOCOL_K = derive_params(1, 2, 2).k  # data/protocol_m2r2.json: k = 2 560 000
+
+LARGEST_REMAINDER_CASES = [
+    [0.0, 0.3, 0.0, 0.7],  # zero weights
+    [0.0, 1.0],
+    [1 / 3, 1 / 3, 1 / 3],  # exact ties
+    [0.25, 0.25, 0.25, 0.25],
+    [1.0, 1.0],
+    [0.7],  # one weight
+    [0.1, 0.2, 0.3, 0.4],
+    [1e-300, 1.0, 5e-324],
+]
+
+
+@pytest.mark.parametrize("weights", LARGEST_REMAINDER_CASES)
+@pytest.mark.parametrize("alpha", (1, 2, 3, 63, 64, 200))
+def test_fixed_point_distribution_matches_reference(weights, alpha):
+    got = fixed_point_distribution(weights, alpha)
+    assert got == _reference_fixed_point_distribution(weights, alpha)
+
+
+@pytest.mark.parametrize("weights", LARGEST_REMAINDER_CASES)
+@pytest.mark.parametrize("k", (1, 2, 3, 7, 40_000, PROTOCOL_K))
+def test_copy_split_matches_reference(weights, k):
+    w = np.array(weights)
+    w = w / w.sum()  # as alternating_message normalizes the clipped spectrum
+    assert _largest_remainder(w, k) == tuple(_reference_apportion(w, k))
+
+
+def test_largest_remainder_matches_references_on_random_weights():
+    rng = default_rng(3)
+    for _ in range(300):
+        w = rng.random(int(rng.integers(1, 7)))
+        w[rng.random(len(w)) < 0.2] = 0.0
+        if not w.any():
+            continue
+        alpha = int(rng.integers(1, 201))
+        assert fixed_point_distribution(w, alpha) == _reference_fixed_point_distribution(w, alpha)
+        k = int(rng.integers(1, PROTOCOL_K + 1))
+        w = w / w.sum()
+        assert _largest_remainder(w, k) == tuple(_reference_apportion(w, k))
+
+
+def word_draws(weights, alpha, n, rng):
+    # n step-5 draws from the uint32 words _verify_trials draws
+    words = rng.integers(0, 2 ** 32, size=(n, 1, _word_count(alpha)), dtype=np.uint32)
+    return _draws_from_words([weights], alpha, words)[:, 0]
+
+
 def test_fixed_point_sampler_is_exact():
     # chi-square goodness of fit against the integer weights
     weights = (1, 3, 12)
     alpha = 4
     rng = default_rng(1)
     n = 20_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[_sample_fixed_point(weights, alpha, rng)] += 1
+    counts = np.bincount(word_draws(weights, alpha, n, rng), minlength=3)
     expected = np.array(weights) / 16.0 * n
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert stat < chi2.ppf(1.0 - 1e-3, df=2)
@@ -158,8 +236,8 @@ def test_fixed_point_sampler_supports_wide_alpha():
     scale = 1 << alpha
     weights = (scale // 2, scale - scale // 2)
     rng = default_rng(2)
-    draws = [_sample_fixed_point(weights, alpha, rng) for _ in range(2000)]
-    frac = sum(draws) / len(draws)
+    draws = word_draws(weights, alpha, 2000, rng)
+    frac = draws.sum() / len(draws)
     assert 0.45 < frac < 0.55
 
 

@@ -54,6 +54,16 @@ def test_optimize_with_oracle_check(capsys):
     assert doc["oracle_gap"] <= 1e-4
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_optimize_rejects_non_positive_oracle_samples(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "optimize", f"{DATA}/entangled_accept.json", "--oracle-samples", samples
+    )
+    assert code == 2
+    assert out == ""
+    assert "need at least one sample" in err
+
+
 def test_deterministic_output_bytes():
     # identical invocations must produce identical bytes once the timestamp
     # metadata is suppressed

@@ -1,0 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs_cleanly(demo):
+    # the package from this checkout goes ahead of any installed copy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, cwd=ROOT, env=env, timeout=300
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stderr == b""
+    assert run.stdout

@@ -28,7 +28,7 @@ from multiprover.bellqma import (
     stage1_distribution,
     step4_frequency_test,
 )
-from multiprover.bellqma import _fixed_point_draws, _invert_cdf, _sample_fixed_point
+from multiprover.bellqma import _draws_from_words, _invert_cdf, _word_count
 from multiprover.linalg import HermitianOperator, basis_state
 from multiprover.rand import default_rng, random_density, random_povm
 
@@ -47,6 +47,13 @@ def reference_sample(weights, alpha, rng):
         if u < acc:
             return idx
     return len(weights) - 1
+
+
+def word_draws(rows, alpha, n, rng):
+    # Step 5's draws: the (n, rows, words) uint32 words _verify_trials draws
+    # on a trial's generator, inverted against the claimed rows.
+    words = rng.integers(0, 2 ** 32, size=(n, len(rows), _word_count(alpha)), dtype=np.uint32)
+    return _draws_from_words(rows, alpha, words)
 
 
 def copies_of(y):
@@ -145,14 +152,14 @@ def test_batch_draws_equal_sequential_draws(alpha):
     rows.append((0,) * 2 + (scale,))  # zero weights ahead of the mass
     rows.append((scale // 3,) * 2)  # short of 2**alpha: the last index takes the rest
     batch_rng, seq_rng = default_rng(7), default_rng(7)
-    got = _fixed_point_draws(rows, alpha, 400, batch_rng)
+    got = word_draws(rows, alpha, 400, batch_rng)
     want = [[reference_sample(row, alpha, seq_rng) for row in rows] for _ in range(400)]
     assert got.tolist() == want
     # the generators end in the same state
     assert batch_rng.random() == seq_rng.random()
     single = default_rng(8)
     ref = default_rng(8)
-    assert [_sample_fixed_point(rows[2], alpha, single) for _ in range(50)] == [
+    assert [int(word_draws([rows[2]], alpha, 1, single)[0, 0]) for _ in range(50)] == [
         reference_sample(rows[2], alpha, ref) for _ in range(50)
     ]
 

@@ -23,7 +23,7 @@ from multiprover.repetition import (
     verify_perfect_repetition,
     witness_summands,
 )
-from multiprover.separable import SeparableOperator, densify, witness_min_product
+from multiprover.separable import SeparableOperator, densify, witness_evidence
 
 
 def random_sep(dims, terms, rng):
@@ -94,7 +94,7 @@ def test_dual_from_primal_strict_feasibility():
     c = entangled_accept_as_single_party()
     dual = dual_from_primal(c, 2.0)
     assert dual.t == 2.0
-    val = witness_min_product(dual.witness, samples=2000, rng=default_rng(5))
+    val = witness_evidence(dual.witness, samples=2000, rng=default_rng(5)).min_value
     assert val >= 1.0 - 1e-9
     # spectral norm of this instance is 1/2, so the slack is exactly 3/2
     assert val == pytest.approx(1.5, abs=1e-8)
@@ -131,7 +131,7 @@ def test_witness_summands_each_nonnegative_on_products():
     t1 = seesaw_max(densify(c1), restarts=8, rng=rng).value + 1e-8
     t2 = seesaw_max(densify(c2), restarts=8, rng=rng).value + 1e-8
     for cand in witness_summands(c1, t1, c2, t2):
-        val = witness_min_product(cand.operator, samples=4000, rng=rng)
+        val = witness_evidence(cand.operator, samples=4000, rng=rng).min_value
         assert val >= -1e-9, cand.label
 
 
@@ -192,7 +192,7 @@ def test_verify_flags_violation_of_planted_bound():
     c = random_sep([2, 2], 2, rng)
     v = seesaw_max(densify(c), restarts=8, rng=rng).value
     dual = dual_from_primal(c, 0.5 * v)
-    val = witness_min_product(dual.witness, samples=4000, rng=rng)
+    val = witness_evidence(dual.witness, samples=4000, rng=rng).min_value
     assert val < -1e-6  # certified counterexample to the fake bound
 
 

@@ -25,7 +25,6 @@ from multiprover.separable import (
     separable_from_dict,
     separable_to_dict,
     witness_evidence,
-    witness_min_product,
 )
 
 
@@ -204,7 +203,7 @@ def test_witness_min_product_matches_global_min_when_psd():
     # C is PSD with kernel containing the product state |11>, so its product
     # minimum coincides with the global minimum 0
     c = entangled_accept_operator()
-    val = witness_min_product(c, samples=4000, rng=default_rng(6))
+    val = witness_evidence(c, samples=4000, rng=default_rng(6)).min_value
     assert val >= -1e-9
     assert val <= 1e-6
 
