@@ -70,9 +70,8 @@ from .repetition import (
 )
 from .bellqma import (
     BellProtocol,
-    ExplicitProofModel,
-    IidProofModel,
     MerlinMessage,
+    ProofModel,
     ProtocolParams,
     Stage2Acceptor,
     TableCapacityError,
@@ -89,7 +88,6 @@ from .bellqma import (
     message_from_distributions,
     protocol_from_dict,
     protocol_to_dict,
-    sample_outcome_counts,
     soundness_bound,
     stage1_distribution,
     step4_frequency_test,

@@ -19,11 +19,10 @@ The verifier, given parameters (p, k, q, alpha):
   outcome tuples drawn from the claimed distributions and accepts on a
   strict majority.
 
-A proof is either k IID copies of one state (``IidProofModel``) or an
-explicit list of copies (``ExplicitProofModel``), which is held as
-(state, multiplicity) groups: copies sharing one entries array form one
-group, so step 4 samples one binomial per distinct state however large k
-is.
+Each prover's k copies form one ``ProofModel``: (state, multiplicity)
+groups whose multiplicities sum to k. k IID copies of rho are the one
+group ``(rho, k)``, so step 4 samples one binomial per group however large
+k is.
 
 ``estimate_acceptance`` verifies its trials in blocks of ``_TRIAL_BLOCK``,
 each trial on its own spawned generator. Message checks and step 3 run
@@ -54,7 +53,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -206,55 +205,24 @@ def _check_density(rho: HermitianOperator, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class IidProofModel:
-    """All k copies are the same density operator."""
+class ProofModel:
+    """The copies of one prover's proof, as (state, multiplicity) groups.
 
-    rho: HermitianOperator
-
-    def __post_init__(self):
-        _check_density(self.rho, "proof state")
-
-
-@dataclass(frozen=True)
-class ExplicitProofModel:
-    """Copies that need not be identical, held as (state, multiplicity) groups.
-
-    The constructor takes the copies themselves. Copies that share one
-    entries array form one group, in order of first appearance, and each
-    distinct state is checked once.
+    k IID copies of rho are the one group ``((rho, k),)``. Groups are kept
+    as given, not merged, and each group's state is checked once.
     """
 
     groups: tuple[tuple[HermitianOperator, int], ...]
 
-    def __init__(self, states):
-        self._set_groups((s, 1) for s in states)
-
-    @classmethod
-    def _from_groups(cls, groups) -> "ExplicitProofModel":
-        # (state, multiplicity) pairs instead of one reference per copy;
-        # grouped and checked exactly as the copies would be.
-        model = cls.__new__(cls)
-        model._set_groups(groups)
-        return model
-
-    def _set_groups(self, pairs) -> None:
-        by_id: dict[int, list] = {}
-        for s, n in pairs:
-            if not isinstance(n, int) or n < 1:
-                raise ValueError(f"copy multiplicity must be a positive integer, got {n!r}")
-            group = by_id.get(id(s.entries))
-            if group is None:
-                by_id[id(s.entries)] = [s, n]
-            else:
-                group[1] += n
-        if not by_id:
+    def __init__(self, groups):
+        groups = tuple((s, n) for s, n in groups)
+        if not groups:
             raise ValueError("need at least one copy")
-        for s, _ in by_id.values():
-            _check_density(s, "proof copy")
-        object.__setattr__(self, "groups", tuple((s, n) for s, n in by_id.values()))
-
-
-ProofModel = Union[IidProofModel, ExplicitProofModel]
+        for s, n in groups:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ValueError(f"copy multiplicity must be a positive integer, got {n!r}")
+            _check_density(s, "proof state")
+        object.__setattr__(self, "groups", groups)
 
 
 @dataclass(frozen=True)
@@ -282,7 +250,7 @@ class MerlinMessage:
         if len(xs) != len(ys):
             raise ValueError("x and y registers must cover the same provers")
         for y in ys:
-            if not isinstance(y, (IidProofModel, ExplicitProofModel)):
+            if not isinstance(y, ProofModel):
                 raise TypeError(f"unsupported proof model {type(y).__name__}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "x_register", xs)
@@ -386,7 +354,7 @@ def honest_message(
     for j, rho in enumerate(proofs):
         probs = stage1_distribution(protocol, j, rho)
         xs.append(fixed_point_distribution(probs, params.alpha))
-        ys.append(IidProofModel(rho))
+        ys.append(ProofModel([(rho, params.k)]))
     return MerlinMessage(alpha=params.alpha, x_register=tuple(xs), y_register=tuple(ys))
 
 
@@ -397,7 +365,7 @@ def message_from_distributions(
 ) -> MerlinMessage:
     """A (possibly lying) message: claim ``claimed`` but hold ``proofs``."""
     xs = tuple(fixed_point_distribution(row, params.alpha) for row in claimed)
-    ys = tuple(IidProofModel(rho) for rho in proofs)
+    ys = tuple(ProofModel([(rho, params.k)]) for rho in proofs)
     if len(xs) != len(ys):
         raise ValueError("claimed rows and proofs must cover the same provers")
     return MerlinMessage(alpha=params.alpha, x_register=xs, y_register=ys)
@@ -431,7 +399,7 @@ def alternating_message(
             proj = np.outer(col, col.conj())
             groups.append((HermitianOperator(rho.shape, proj), lam_count))
             mix += (lam_count / params.k) * proj
-        ys.append(ExplicitProofModel._from_groups(groups))
+        ys.append(ProofModel(groups))
         probs = stage1_distribution(protocol, j, HermitianOperator(rho.shape, mix))
         xs.append(fixed_point_distribution(probs, params.alpha))
     return MerlinMessage(alpha=params.alpha, x_register=tuple(xs), y_register=tuple(ys))
@@ -440,8 +408,6 @@ def alternating_message(
 def effective_single_copy_state(message: MerlinMessage, j: int) -> HermitianOperator:
     """Average state of one copy of prover j's proof."""
     y = message.y_register[j]
-    if isinstance(y, IidProofModel):
-        return y.rho
     k = sum(n for _, n in y.groups)
     acc = sum(n * s.entries for s, n in y.groups) / k
     return HermitianOperator(y.groups[0][0].shape, acc)
@@ -450,43 +416,17 @@ def effective_single_copy_state(message: MerlinMessage, j: int) -> HermitianOper
 # -- verification -------------------------------------------------------------
 
 
-def sample_outcome_counts(
-    protocol: BellProtocol,
-    message: MerlinMessage,
-    j: int,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Measure k copies of prover j's proof; returns counts per outcome."""
-    y = message.y_register[j]
-    if isinstance(y, IidProofModel):
-        probs = stage1_distribution(protocol, j, y.rho)
-        probs = np.clip(probs, 0.0, None)
-        return rng.multinomial(k, probs / probs.sum())
-    counts = np.zeros(protocol.r, dtype=np.int64)
-    for s, mult in _checked_groups(y, k):
-        probs = stage1_distribution(protocol, j, s)
-        probs = np.clip(probs, 0.0, None)
-        counts += rng.multinomial(mult, probs / probs.sum())
-    return counts
-
-
-def _checked_groups(y: ExplicitProofModel, k: int):
+def _checked_groups(y: ProofModel, k: int):
     held = sum(n for _, n in y.groups)
     if held != k:
-        raise ValueError(f"explicit model holds {held} copies, expected {k}")
+        raise ValueError(f"proof model holds {held} copies, expected {k}")
     return y.groups
 
 
 def _step4_binomials(protocol, message, params, j, i) -> list[tuple[int, float]]:
     # (copies, probability) of each binomial that counts outcome i of prover j
-    y = message.y_register[j]
-    if isinstance(y, IidProofModel):
-        probs = stage1_distribution(protocol, j, y.rho)
-        prob = float(np.clip(probs, 0.0, 1.0)[i] / max(np.clip(probs, 0.0, None).sum(), 1.0))
-        return [(params.k, min(prob, 1.0))]
     out = []
-    for s, mult in _checked_groups(y, params.k):
+    for s, mult in _checked_groups(message.y_register[j], params.k):
         probs = np.clip(stage1_distribution(protocol, j, s), 0.0, None)
         out.append((mult, min(float(probs[i] / max(probs.sum(), 1.0)), 1.0)))
     return out
@@ -605,8 +545,7 @@ def estimate_acceptance(
 ) -> dict:
     """Acceptance frequency over independent verifications.
 
-    ``merlin`` is either a fixed MerlinMessage or a callable
-    ``merlin(rng) -> MerlinMessage`` drawn fresh per trial. Returns
+    Every trial verifies the one MerlinMessage ``merlin``. Returns
     ``{"mean", "ci95", "accepted", "trials"}`` where ci95 is the Wilson
     interval; with ``collect=True`` the per-trial outcomes are included.
     """
@@ -619,13 +558,7 @@ def estimate_acceptance(
     # blocks bound memory without moving any trial's stream.
     for start in range(0, trials, _TRIAL_BLOCK):
         children = rng.spawn(min(_TRIAL_BLOCK, trials - start))
-        if callable(merlin):
-            block = [
-                _verify_trials(protocol, merlin(child), params, [child])[0]
-                for child in children
-            ]
-        else:
-            block = _verify_trials(protocol, merlin, params, children)
+        block = _verify_trials(protocol, merlin, params, children)
         accepted += sum(out.accepted for out in block)
         if collect:
             outcomes += block

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .bellqma import (
-    ProtocolParams,
     TableCapacityError,
     alternating_message,
     completeness_error_bound,
@@ -66,8 +66,6 @@ MAX_BITS = 1023  # largest encode --bits
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    parser.add_argument("--tol", type=float, default=1e-3, help="verdict tolerance")
     parser.add_argument(
         "--max-dim", type=int, default=2 ** 14, help="dense dimension cap"
     )
@@ -191,19 +189,12 @@ def cmd_parrep(args) -> dict:
 
 def cmd_bellqma(args) -> dict:
     protocol, proofs = protocol_from_dict(_load_json(args.protocol))
-    params = derive_params(protocol.n, protocol.m, protocol.r)
     overrides = {
         key: getattr(args, key)
         for key in ("p", "k", "q", "alpha")
         if getattr(args, key) is not None
     }
-    if overrides:
-        params = ProtocolParams(
-            p=overrides.get("p", params.p),
-            k=overrides.get("k", params.k),
-            q=overrides.get("q", params.q),
-            alpha=overrides.get("alpha", params.alpha),
-        )
+    params = dataclasses.replace(derive_params(protocol.n, protocol.m, protocol.r), **overrides)
 
     if args.merlin == "honest":
         message = honest_message(protocol, proofs, params)
@@ -214,18 +205,13 @@ def cmd_bellqma(args) -> dict:
         ]
         message = message_from_distributions(concentrated, proofs, params)
     else:  # mixed-y
-        if params.k > 10 ** 6:
-            raise ValueError(
-                "mixed-y builds k explicit copies; pass --k with a smaller value"
-            )
         message = alternating_message(protocol, proofs, params)
 
-    trials = args.trials if args.trials is not None else 1000
     est = estimate_acceptance(
         protocol,
         message,
         params,
-        trials,
+        args.trials,
         rng=np.random.default_rng(args.seed),
         collect=args.trial_csv is not None,
     )
@@ -321,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("instance", help="separable operator JSON document")
     p_rep.add_argument("second", nargs="?", default=None)
     p_rep.add_argument("--repeat", type=int, default=1, help="k-fold self pairing")
+    p_rep.add_argument("--tol", type=float, default=1e-3, help="verdict tolerance")
     _add_common(p_rep)
 
     p_bell = sub.add_parser("bellqma", help="protocol acceptance Monte Carlo")
@@ -332,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--k", type=int, default=None)
     p_bell.add_argument("--q", type=int, default=None)
     p_bell.add_argument("--alpha", type=int, default=None)
+    p_bell.add_argument("--trials", type=int, default=1000, help="Monte Carlo trials")
     p_bell.add_argument("--trial-csv", default=None, help="write per-trial rows here")
     _add_common(p_bell)
 

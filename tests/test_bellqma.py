@@ -7,9 +7,8 @@ from scipy.stats import chi2
 
 from multiprover.bellqma import (
     BellProtocol,
-    ExplicitProofModel,
-    IidProofModel,
     MerlinMessage,
+    ProofModel,
     ProtocolParams,
     Stage2Acceptor,
     TableCapacityError,
@@ -25,7 +24,6 @@ from multiprover.bellqma import (
     message_from_distributions,
     protocol_from_dict,
     protocol_to_dict,
-    sample_outcome_counts,
     soundness_bound,
     stage1_distribution,
     step4_frequency_test,
@@ -281,21 +279,40 @@ def test_stage2_table_capacity():
         Stage2Acceptor.accept_all(10, 10)
 
 
-def test_proof_model_validation():
+def test_proof_model_validation(monkeypatch):
     with pytest.raises(ValueError, match="trace"):
-        IidProofModel(identity([2]))
-    with pytest.raises(ValueError):
-        IidProofModel(HermitianOperator([2], np.diag([1.5, -0.5])))
-    ExplicitProofModel([mixed_qubit(), mixed_qubit()])
-    with pytest.raises(ValueError):
-        ExplicitProofModel([])
+        ProofModel([(identity([2]), 3)])
+    with pytest.raises(ValueError, match="PSD"):
+        ProofModel([(HermitianOperator([2], np.diag([1.5, -0.5])), 3)])
+    ProofModel([(mixed_qubit(), 1), (mixed_qubit(), 1)])
+    with pytest.raises(ValueError, match="at least one copy"):
+        ProofModel([])
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="multiplicity"):
+            ProofModel([(mixed_qubit(), 2), (mixed_qubit(), bad)])
+    # groups are kept as given: a repeated state is not merged
+    a = basis_state([2], 0).projector()
+    b = basis_state([2], 1).projector()
+    model = ProofModel([(a, 2), (b, 1), (a, 3)])
+    assert [(s is a, s is b, n) for s, n in model.groups] == [
+        (True, False, 2),
+        (False, True, 1),
+        (True, False, 3),
+    ]
+    # one density check per group, however many copies it holds
+    import multiprover.bellqma as bellqma
+
+    checked = []
+    monkeypatch.setattr(bellqma, "_check_density", lambda rho, what: checked.append(rho))
+    ProofModel([(a, 500), (b, 300), (a, 1)])
+    assert checked == [a, b, a]
 
 
 def test_message_validation():
     with pytest.raises(ValueError):
-        MerlinMessage(0, ((1,),), (IidProofModel(mixed_qubit()),))
+        MerlinMessage(0, ((1,),), (ProofModel([(mixed_qubit(), SMALL.k)]),))
     with pytest.raises(ValueError, match="negative"):
-        MerlinMessage(4, ((-1, 17),), (IidProofModel(mixed_qubit()),))
+        MerlinMessage(4, ((-1, 17),), (ProofModel([(mixed_qubit(), SMALL.k)]),))
     with pytest.raises(TypeError):
         MerlinMessage(4, ((8, 8),), ("not a proof",))
 
@@ -309,24 +326,6 @@ def test_stage1_distribution():
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
     probs = stage1_distribution(proto, 1, basis_state([2], 1).projector())
     assert np.allclose(probs, [0.0, 1.0], atol=1e-12)
-
-
-def test_sample_outcome_counts_iid():
-    proto = qubit_protocol()
-    msg = honest_message(proto, [mixed_qubit(), mixed_qubit()], SMALL)
-    counts = sample_outcome_counts(proto, msg, 0, 10_000, default_rng(3))
-    assert counts.sum() == 10_000
-    assert abs(counts[0] / 10_000 - 0.5) < 0.03
-
-
-def test_sample_outcome_counts_explicit():
-    proto = qubit_protocol()
-    params = ProtocolParams(p=40, k=100, q=20, alpha=16)
-    msg = alternating_message(proto, [mixed_qubit(), mixed_qubit()], params)
-    counts = sample_outcome_counts(proto, msg, 0, 100, default_rng(4))
-    # 50 copies of each basis eigenstate measured in the same basis: the
-    # counts are exact, no sampling noise
-    assert tuple(counts) == (50, 50)
 
 
 def test_effective_single_copy_state():
@@ -377,7 +376,7 @@ def test_step3_rejects_bad_sum():
     msg = MerlinMessage(
         SMALL.alpha,
         ((1, 2), (1 << SMALL.alpha, 0)),
-        (IidProofModel(mixed_qubit()), IidProofModel(mixed_qubit())),
+        (ProofModel([(mixed_qubit(), SMALL.k)]), ProofModel([(mixed_qubit(), SMALL.k)])),
     )
     out = arthur_verify(proto, msg, SMALL, rng=0)
     assert not out.accepted
@@ -423,7 +422,9 @@ def test_arthur_verify_parameter_mismatches():
     other = ProtocolParams(p=40, k=5000, q=20, alpha=8)
     with pytest.raises(ValueError, match="alpha"):
         arthur_verify(proto, msg, other, rng=0)
-    short = MerlinMessage(SMALL.alpha, ((1 << SMALL.alpha,),), (IidProofModel(mixed_qubit()),))
+    short = MerlinMessage(
+        SMALL.alpha, ((1 << SMALL.alpha,),), (ProofModel([(mixed_qubit(), SMALL.k)]),)
+    )
     with pytest.raises(ValueError):
         arthur_verify(proto, short, SMALL, rng=0)
 
@@ -467,16 +468,6 @@ def test_estimate_acceptance_contract():
     assert 0.0 <= res["ci95"][0] <= res["mean"] <= res["ci95"][1] <= 1.0
     again = estimate_acceptance(proto, msg, SMALL, trials=64, rng=9)
     assert again["accepted"] == res["accepted"]
-
-
-def test_estimate_acceptance_with_callable_merlin():
-    proto = qubit_protocol()
-
-    def fresh(rng):
-        return honest_message(proto, [mixed_qubit(), mixed_qubit()], SMALL)
-
-    res = estimate_acceptance(proto, fresh, SMALL, trials=16, rng=10)
-    assert res["trials"] == 16
 
 
 # -- Wilson interval -----------------------------------------------------------------

@@ -295,7 +295,9 @@ def test_bellqma_trial_csv(tmp_path, capsys):
 
 
 def test_bellqma_mixed_y_guard(capsys):
-    code, _, err = run_cli(
+    # mixed-y builds one group per eigenstate, so the derived k = 2 560 000
+    # runs as it is
+    doc = run_json(
         capsys,
         "bellqma",
         f"{DATA}/protocol_m2r2.json",
@@ -303,9 +305,32 @@ def test_bellqma_mixed_y_guard(capsys):
         "mixed-y",
         "--trials",
         "5",
+        "--no-meta",
     )
-    assert code == 2
-    assert "--k" in err
+    assert doc["params"]["k"] == 2560000
+    assert doc["estimate"]["trials"] == 5
+
+
+def test_bellqma_default_trials(capsys):
+    doc = run_json(capsys, "bellqma", f"{DATA}/protocol_m2r2.json", "--no-meta")
+    assert doc["estimate"]["trials"] == 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", f"{DATA}/entangled_accept.json", "--trials", "5"),
+        ("encode", f"{DATA}/plus_state.json", "--tol", "1"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    # argparse exits with the parse-error code
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
 
 
 def test_bellqma_k_above_63_bits(capsys):

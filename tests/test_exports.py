@@ -5,10 +5,13 @@ import multiprover
 REMOVED = (
     "ConvergenceError",
     "EigenDecomposition",
+    "ExplicitProofModel",
+    "IidProofModel",
     "eigh",
     "operator_from_json",
     "operator_to_json",
     "random_product_locals",
+    "sample_outcome_counts",
     "separable_from_json",
     "separable_to_json",
     "witness_min_product",

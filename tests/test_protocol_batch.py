@@ -1,8 +1,8 @@
-"""The grouped explicit-proof model and the batched verifier.
+"""The grouped proof model and the batched verifier.
 
 Each verification is checked against a reference written the way the
-verifier used to run: one trial at a time, copies regrouped by identity on
-every step-4 count, and one ``rng.bytes`` draw per outcome of step 5.
+verifier used to run: one trial at a time, one binomial per group on every
+step-4 count, and one ``rng.bytes`` draw per outcome of step 5.
 """
 
 import itertools
@@ -15,8 +15,7 @@ from scipy.stats import chi2
 
 from multiprover.bellqma import (
     BellProtocol,
-    ExplicitProofModel,
-    IidProofModel,
+    ProofModel,
     ProtocolParams,
     Stage2Acceptor,
     VerificationOutcome,
@@ -56,28 +55,17 @@ def word_draws(rows, alpha, n, rng):
     return _draws_from_words(rows, alpha, words)
 
 
-def copies_of(y):
-    # The copy list an explicit model was built from: one reference per copy.
-    return [s for s, n in y.groups for _ in range(n)]
-
-
 def reference_step4(protocol, message, params, j, i, rng):
     y = message.y_register[j]
-    if isinstance(y, IidProofModel):
-        probs = stage1_distribution(protocol, j, y.rho)
+    assert sum(mult for _, mult in y.groups) == params.k
+    if len(y.groups) == 1:
+        # k IID copies, as honest_message and message_from_distributions
+        # build them: the formula of the former IID step-4 path
+        probs = stage1_distribution(protocol, j, y.groups[0][0])
         prob = float(np.clip(probs, 0.0, 1.0)[i] / max(np.clip(probs, 0.0, None).sum(), 1.0))
         return int(rng.binomial(params.k, min(prob, 1.0)))
-    states = copies_of(y)
-    assert len(states) == params.k
     n = 0
-    by_id = {}
-    for s in states:
-        key = id(s.entries)
-        if key in by_id:
-            by_id[key] = (s, by_id[key][1] + 1)
-        else:
-            by_id[key] = (s, 1)
-    for s, mult in by_id.values():
+    for s, mult in y.groups:
         probs = np.clip(stage1_distribution(protocol, j, s), 0.0, None)
         prob = min(float(probs[i] / max(probs.sum(), 1.0)), 1.0)
         n += int(rng.binomial(mult, prob))
@@ -217,12 +205,12 @@ def test_estimate_acceptance_outcomes_match_reference():
     assert len({o.accepted for o in want}) == 2  # both verdicts occur
 
 
-def estimate_matches_reference(protocol, merlin, params, trials, seed):
-    res = estimate_acceptance(protocol, merlin, params, trials, rng=seed, collect=True)
-    want = []
-    for child in default_rng(seed).spawn(trials):
-        msg = merlin(child) if callable(merlin) else merlin
-        want.append(reference_verify(protocol, msg, params, child, fractional_last=True))
+def estimate_matches_reference(protocol, msg, params, trials, seed):
+    res = estimate_acceptance(protocol, msg, params, trials, rng=seed, collect=True)
+    want = [
+        reference_verify(protocol, msg, params, child, fractional_last=True)
+        for child in default_rng(seed).spawn(trials)
+    ]
     assert res["outcomes"] == want
     assert res["accepted"] == sum(o.accepted for o in want)
     return want
@@ -265,21 +253,6 @@ def test_estimate_acceptance_step3_failure():
     assert want == [VerificationOutcome(False, "step3", None, None)] * 30
 
 
-def test_estimate_acceptance_callable_merlin():
-    # a fresh message per trial, drawn from the trial's own generator
-    stage2 = Stage2Acceptor.from_function(lambda o: float(o[0] != o[1]), 2, 2)
-    protocol, proofs = random_protocol(2, 2, stage2, seed=5)
-    params = ProtocolParams(p=8, k=400, q=7, alpha=64)
-
-    def merlin(rng):
-        lie = float(rng.random())
-        claims = [[lie, 1.0 - lie], stage1_distribution(protocol, 1, proofs[1])]
-        return message_from_distributions(claims, proofs, params)
-
-    want = estimate_matches_reference(protocol, merlin, params, 40, seed=12)
-    assert len({o.rejection_stage for o in want}) > 1
-
-
 def test_estimate_acceptance_across_block_edges(monkeypatch):
     import multiprover.bellqma as bellqma
 
@@ -300,7 +273,7 @@ def test_copy_count_mismatch_raises_at_the_first_trial_that_picks_it():
     params = ProtocolParams(p=8, k=400, q=3, alpha=16)
     honest = honest_message(protocol, proofs, params)
     short = type(honest)(
-        params.alpha, honest.x_register, (ExplicitProofModel([proofs[0]] * 399), honest.y_register[1])
+        params.alpha, honest.x_register, (ProofModel([(proofs[0], 399)]), honest.y_register[1])
     )
     picks = [int(c.integers(2)) for c in default_rng(3).spawn(40)]
     first = picks.index(0)
@@ -332,30 +305,7 @@ def test_step5_acceptance_on_fractional_table():
         assert stat < chi2.ppf(1.0 - 1e-3, df=1)
 
 
-# -- grouped explicit model ------------------------------------------------------------------
-
-
-def test_explicit_model_groups_by_identity_in_first_appearance_order():
-    a = basis_state([2], 0).projector()
-    b = basis_state([2], 1).projector()
-    same_as_a = HermitianOperator([2], a.entries.copy())  # equal, not identical
-    model = ExplicitProofModel([a, b, a, same_as_a, b, a])
-    assert [(s is a, s is b, s is same_as_a, n) for s, n in model.groups] == [
-        (True, False, False, 3),
-        (False, True, False, 2),
-        (False, False, True, 1),
-    ]
-
-
-def test_explicit_model_checks_each_distinct_state_once(monkeypatch):
-    import multiprover.bellqma as bellqma
-
-    checked = []
-    monkeypatch.setattr(bellqma, "_check_density", lambda rho, what: checked.append(rho))
-    a = basis_state([2], 0).projector()
-    b = basis_state([2], 1).projector()
-    ExplicitProofModel([a] * 500 + [b] * 300)
-    assert checked == [a, b]
+# -- grouped proof model ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("eigenvalues", [(0.5, 0.3, 0.2), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0)])
@@ -390,6 +340,10 @@ def test_explicit_copy_count_must_match_k():
     short = ProtocolParams(p=10, k=99, q=5, alpha=16)
     with pytest.raises(ValueError, match="100 copies, expected 99"):
         arthur_verify(protocol, msg, short, rng=0)
+    # an IID message is tied to the k it was built for, too
+    honest = honest_message(protocol, [HermitianOperator([2], 0.5 * np.eye(2))], params)
+    with pytest.raises(ValueError, match="100 copies, expected 99"):
+        arthur_verify(protocol, honest, short, rng=0)
 
 
 # -- non-finite input -------------------------------------------------------------------------
