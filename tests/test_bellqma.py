@@ -279,7 +279,7 @@ def test_stage2_table_capacity():
         Stage2Acceptor.accept_all(10, 10)
 
 
-def test_proof_model_validation(monkeypatch):
+def test_proof_model_validation():
     with pytest.raises(ValueError, match="trace"):
         ProofModel([(identity([2]), 3)])
     with pytest.raises(ValueError, match="PSD"):
@@ -290,22 +290,6 @@ def test_proof_model_validation(monkeypatch):
     for bad in (0, -1, True, 2.0):
         with pytest.raises(ValueError, match="multiplicity"):
             ProofModel([(mixed_qubit(), 2), (mixed_qubit(), bad)])
-    # groups are kept as given: a repeated state is not merged
-    a = basis_state([2], 0).projector()
-    b = basis_state([2], 1).projector()
-    model = ProofModel([(a, 2), (b, 1), (a, 3)])
-    assert [(s is a, s is b, n) for s, n in model.groups] == [
-        (True, False, 2),
-        (False, True, 1),
-        (True, False, 3),
-    ]
-    # one density check per group, however many copies it holds
-    import multiprover.bellqma as bellqma
-
-    checked = []
-    monkeypatch.setattr(bellqma, "_check_density", lambda rho, what: checked.append(rho))
-    ProofModel([(a, 500), (b, 300), (a, 1)])
-    assert checked == [a, b, a]
 
 
 def test_message_validation():

@@ -330,6 +330,32 @@ def test_alternating_message_groups(eigenvalues):
         assert np.allclose(s.entries @ s.entries, s.entries, atol=1e-12)
 
 
+def test_explicit_model_groups_by_identity_in_first_appearance_order():
+    # groups are kept as given, in order: neither a repeated state nor an
+    # equal one is merged into an earlier group
+    a = basis_state([2], 0).projector()
+    b = basis_state([2], 1).projector()
+    same_as_a = HermitianOperator([2], a.entries.copy())  # equal, not identical
+    model = ProofModel([(a, 3), (b, 2), (same_as_a, 1), (a, 4)])
+    assert [(s is a, s is b, s is same_as_a, n) for s, n in model.groups] == [
+        (True, False, False, 3),
+        (False, True, False, 2),
+        (False, False, True, 1),
+        (True, False, False, 4),
+    ]
+
+
+def test_explicit_model_checks_each_distinct_state_once(monkeypatch):
+    import multiprover.bellqma as bellqma
+
+    checked = []
+    monkeypatch.setattr(bellqma, "_check_density", lambda rho, what: checked.append(rho))
+    a = basis_state([2], 0).projector()
+    b = basis_state([2], 1).projector()
+    ProofModel([(a, 500), (b, 300)])
+    assert checked == [a, b]
+
+
 def test_explicit_copy_count_must_match_k():
     protocol = BellProtocol(
         1, 1, 2, [[basis_state([2], i).projector() for i in range(2)]],
