@@ -14,7 +14,7 @@ from multiprover import (
     SeparableOperator,
     default_rng,
     densify,
-    pair_instance,
+    pair_separable,
     random_separable_terms,
     spectral_norm,
     verify_perfect_repetition,
@@ -39,10 +39,9 @@ def main():
     c1 = random_instance([2, 2], 2, rng)
     c2 = random_instance([2, 3], 3, rng)
 
-    inst = pair_instance(c1, c2)
     print("single instances on dims", c1.shape.dims, "and", c2.shape.dims)
-    print("paired instance on dims ", inst.paired_operator.shape.dims,
-          " (prover j holds X_j x Y_j, permutation", inst.permutation, ")")
+    print("paired instance on dims ", pair_separable(c1, c2).shape.dims,
+          " (prover j holds X_j x Y_j)")
 
     report = verify_perfect_repetition(c1, c2, rng=rng)
     print(f"\nopt(C1)            = {report.v1:.9f}")

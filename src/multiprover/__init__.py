@@ -57,14 +57,9 @@ from .separable import (
     witness_evidence,
 )
 from .repetition import (
-    DualSolution,
     PartyCountError,
-    RepetitionInstance,
     RepetitionReport,
-    dual_from_primal,
-    pair_instance,
     pair_separable,
-    repetition_witness,
     verify_perfect_repetition,
     witness_summands,
 )
@@ -81,7 +76,6 @@ from .bellqma import (
     completeness_error_bound,
     derive_params,
     deviation_threshold,
-    effective_single_copy_state,
     estimate_acceptance,
     fixed_point_distribution,
     honest_message,

@@ -405,14 +405,6 @@ def alternating_message(
     return MerlinMessage(alpha=params.alpha, x_register=tuple(xs), y_register=tuple(ys))
 
 
-def effective_single_copy_state(message: MerlinMessage, j: int) -> HermitianOperator:
-    """Average state of one copy of prover j's proof."""
-    y = message.y_register[j]
-    k = sum(n for _, n in y.groups)
-    acc = sum(n * s.entries for s, n in y.groups) / k
-    return HermitianOperator(y.groups[0][0].shape, acc)
-
-
 # -- verification -------------------------------------------------------------
 
 

@@ -340,7 +340,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad command line and 0 after --help
+        return exc.code
     # The handler is looked up by name on every call, so a rebinding of
     # cmd_<command> after the parser was built is still seen.
     handler = globals()[f"cmd_{args.command}"]

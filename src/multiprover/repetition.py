@@ -45,22 +45,6 @@ class PartyCountError(ValueError):
 
 
 @dataclass(frozen=True)
-class RepetitionInstance:
-    c1: SeparableOperator
-    c2: SeparableOperator
-    paired_operator: HermitianOperator
-    permutation: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DualSolution:
-    """Feasible value t with witness W = t * I - C (exact by construction)."""
-
-    t: float
-    witness: HermitianOperator
-
-
-@dataclass(frozen=True)
 class RepetitionReport:
     v1: float
     v2: float
@@ -107,66 +91,30 @@ def _pair_operators(a: HermitianOperator, b: HermitianOperator) -> HermitianOper
     return HermitianOperator(MultipartiteShape(merged), permuted.entries)
 
 
-def _pair_dense(c1: SeparableOperator, c2: SeparableOperator, max_dim: int):
-    """Dense C1, dense C2 and their paired operator, each built once."""
+def _densify_pair(c1: SeparableOperator, c2: SeparableOperator, max_dim: int):
+    """Dense C1 and C2 of two instances whose paired dimension is within the cap."""
     _check_parties(c1, c2)
     total = c1.shape.total * c2.shape.total
     if total > max_dim:
         raise CapacityError(f"paired dimension {total} exceeds cap {max_dim}")
-    d1 = densify(c1, max_dim=max_dim)
-    d2 = densify(c2, max_dim=max_dim)
-    return d1, d2, _pair_operators(d1, d2)
+    return densify(c1, max_dim=max_dim), densify(c2, max_dim=max_dim)
 
 
-def _dual(t: float, c: HermitianOperator) -> DualSolution:
-    w = HermitianOperator(c.shape, t * np.eye(c.shape.total) - c.entries)
-    return DualSolution(t=t, witness=w)
-
-
-def pair_instance(
-    c1: SeparableOperator, c2: SeparableOperator, *, max_dim: int = DIM_CAP
-) -> RepetitionInstance:
-    """Tensor two instances and regroup so prover j holds (X_j, Y_j)."""
-    _, _, paired = _pair_dense(c1, c2, max_dim)
-    perm = _interleave_permutation(c1.shape.parties)
-    return RepetitionInstance(c1=c1, c2=c2, paired_operator=paired, permutation=perm)
+def _one_party(f: HermitianOperator) -> HermitianOperator:
+    # a factor is one prover's operator, whatever subsystems it is tagged with
+    return HermitianOperator(MultipartiteShape([f.dim]), f.entries)
 
 
 def pair_separable(c1: SeparableOperator, c2: SeparableOperator) -> SeparableOperator:
     """Factored form of the paired operator; stays inside the separable cone."""
     _check_parties(c1, c2)
     merged = tuple(x * y for x, y in zip(c1.shape.dims, c2.shape.dims))
-    terms = []
-    for p in c1.terms:
-        for q in c2.terms:
-            terms.append(
-                tuple(
-                    HermitianOperator(
-                        MultipartiteShape([dx * dy]),
-                        np.kron(pf.entries, qf.entries),
-                    )
-                    for pf, qf, dx, dy in zip(p, q, c1.shape.dims, c2.shape.dims)
-                )
-            )
+    terms = [
+        tuple(_pair_operators(_one_party(pf), _one_party(qf)) for pf, qf in zip(p, q))
+        for p in c1.terms
+        for q in c2.terms
+    ]
     return SeparableOperator(MultipartiteShape(merged), terms)
-
-
-def dual_from_primal(c: SeparableOperator, t: float, *, max_dim: int = DIM_CAP) -> DualSolution:
-    """Witness t * I - C for a claimed bound t on the product-state optimum."""
-    return _dual(float(t), densify(c, max_dim=max_dim))
-
-
-def repetition_witness(
-    c1: SeparableOperator,
-    t1: float,
-    c2: SeparableOperator,
-    t2: float,
-    *,
-    max_dim: int = DIM_CAP,
-) -> DualSolution:
-    """Dual witness t1 t2 * I - C1 (x) C2 on the paired instance."""
-    _, _, paired = _pair_dense(c1, c2, max_dim)
-    return _dual(float(t1) * float(t2), paired)
 
 
 def witness_summands(
@@ -184,9 +132,7 @@ def witness_summands(
     so each lies in the dual separable cone whenever t1, t2 are valid
     bounds; their mean equals t1 t2 * I - C1 (x) C2 exactly.
     """
-    _check_parties(c1, c2)
-    d1 = densify(c1, max_dim=max_dim)
-    d2 = densify(c2, max_dim=max_dim)
+    d1, d2 = _densify_pair(c1, c2, max_dim)
     i1 = identity(c1.shape)
     i2 = identity(c2.shape)
     first = _pair_operators(float(t1) * i1 - d1, float(t2) * i2 + d2)
@@ -221,7 +167,8 @@ def verify_perfect_repetition(
     * ``inconclusive``: neither, e.g. optimization failed to close the gap.
     """
     rng = default_rng(rng)
-    d1, d2, paired = _pair_dense(c1, c2, max_dim)
+    d1, d2 = _densify_pair(c1, c2, max_dim)
+    paired = _pair_operators(d1, d2)
     ch = rng.spawn(4)
 
     r1: OptimizationResult = seesaw_max(d1, restarts=restarts, rng=ch[0])
@@ -234,8 +181,10 @@ def verify_perfect_repetition(
 
     v1, v2, v = r1.value, r2.value, rp.value
     t1t2 = v1 * v2
-    dual = _dual(t1t2, paired)
-    ev: WitnessEvidence = witness_evidence(dual.witness, samples=samples, rng=ch[3])
+    witness = HermitianOperator(
+        paired.shape, t1t2 * np.eye(paired.shape.total) - paired.entries
+    )
+    ev: WitnessEvidence = witness_evidence(witness, samples=samples, rng=ch[3])
 
     gap_ok = abs(v - t1t2) <= tol
     if v > t1t2 + COUNTEREXAMPLE_TOL or ev.min_value < -COUNTEREXAMPLE_TOL:

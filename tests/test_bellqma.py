@@ -17,7 +17,6 @@ from multiprover.bellqma import (
     completeness_error_bound,
     derive_params,
     deviation_threshold,
-    effective_single_copy_state,
     estimate_acceptance,
     fixed_point_distribution,
     honest_message,
@@ -313,14 +312,15 @@ def test_stage1_distribution():
 
 
 def test_effective_single_copy_state():
+    # the average state of one copy, sum n * s / k over the groups, is rho
     proto = qubit_protocol()
     params = ProtocolParams(p=40, k=100, q=20, alpha=16)
     honest = honest_message(proto, [mixed_qubit(), mixed_qubit()], params)
-    eff = effective_single_copy_state(honest, 0)
-    assert np.allclose(eff.entries, 0.5 * np.eye(2), atol=1e-12)
     alt = alternating_message(proto, [mixed_qubit(), mixed_qubit()], params)
-    eff = effective_single_copy_state(alt, 0)
-    assert np.allclose(eff.entries, 0.5 * np.eye(2), atol=1e-12)
+    for message in (honest, alt):
+        groups = message.y_register[0].groups
+        eff = sum(n * s.entries for s, n in groups) / params.k
+        assert np.allclose(eff, 0.5 * np.eye(2), atol=1e-12)
 
 
 # -- step 4 -----------------------------------------------------------------------

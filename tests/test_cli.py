@@ -324,13 +324,19 @@ def test_bellqma_default_trials(capsys):
     ],
 )
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
-    # argparse exits with the parse-error code
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+    # argparse's parse-error code is returned, not raised
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("parrep", "--help")])
+def test_help_returns_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage:")
+    assert err == ""
 
 
 def test_bellqma_k_above_63_bits(capsys):

@@ -4,13 +4,19 @@ import multiprover
 
 REMOVED = (
     "ConvergenceError",
+    "DualSolution",
     "EigenDecomposition",
     "ExplicitProofModel",
     "IidProofModel",
+    "RepetitionInstance",
+    "dual_from_primal",
+    "effective_single_copy_state",
     "eigh",
     "operator_from_json",
     "operator_to_json",
+    "pair_instance",
     "random_product_locals",
+    "repetition_witness",
     "sample_outcome_counts",
     "separable_from_json",
     "separable_to_json",

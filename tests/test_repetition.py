@@ -16,13 +16,11 @@ from multiprover.optimize import ProductState, product_value, seesaw_max
 from multiprover.rand import default_rng, haar_vector, random_separable_terms
 from multiprover.repetition import (
     PartyCountError,
-    dual_from_primal,
-    pair_instance,
     pair_separable,
-    repetition_witness,
     verify_perfect_repetition,
     witness_summands,
 )
+from multiprover.repetition import _pair_operators
 from multiprover.separable import SeparableOperator, densify, witness_evidence
 
 
@@ -30,43 +28,64 @@ def random_sep(dims, terms, rng):
     return SeparableOperator(dims, random_separable_terms(dims, terms, rng))
 
 
+def paired(c1, c2):
+    return densify(pair_separable(c1, c2))
+
+
+def bound_witness(c, t):
+    """t * I - C for a claimed bound t on the product-state optimum."""
+    return HermitianOperator(c.shape, t * np.eye(c.shape.total) - densify(c).entries)
+
+
 # -- pairing --------------------------------------------------------------------
 
 
-def test_pair_instance_merges_per_prover():
+def test_pair_separable_merges_per_prover():
     rng = default_rng(0)
     c1 = random_sep([2, 3], 2, rng)
     c2 = random_sep([2, 2], 2, rng)
-    inst = pair_instance(c1, c2)
-    assert inst.paired_operator.shape.dims == (4, 6)
-    assert inst.permutation == (0, 2, 1, 3)
+    assert pair_separable(c1, c2).shape.dims == (4, 6)
+    assert paired(c1, c2).shape.dims == (4, 6)
 
 
-def test_pair_instance_value_on_product_states():
+def test_pair_separable_value_on_product_states():
     # paired form evaluated at (a x c, b x d) equals the product of the two
     # single-instance forms at (a, b) and (c, d)
     rng = default_rng(1)
     c1 = random_sep([2, 2], 2, rng)
     c2 = random_sep([2, 2], 2, rng)
     d1, d2 = densify(c1), densify(c2)
-    paired = pair_instance(c1, c2).paired_operator
+    pair = paired(c1, c2)
     for _ in range(10):
         a, b, c, d = (haar_vector(2, rng) for _ in range(4))
         v1 = product_value(d1, ProductState([2, 2], [a, b]))
         v2 = product_value(d2, ProductState([2, 2], [c, d]))
         merged = ProductState([4, 4], [np.kron(a, c), np.kron(b, d)])
-        v = product_value(paired, merged)
+        v = product_value(pair, merged)
         assert v == pytest.approx(v1 * v2, abs=1e-12)
 
 
 def test_pair_separable_matches_dense_pairing():
+    # the factored pairing and the dense one that verification optimizes
+    # over are the same operator
     rng = default_rng(2)
     c1 = random_sep([2, 2], 3, rng)
     c2 = random_sep([2, 2], 2, rng)
-    lhs = densify(pair_separable(c1, c2))
-    rhs = pair_instance(c1, c2).paired_operator
-    assert np.allclose(lhs.entries, rhs.entries, atol=1e-12)
+    rhs = _pair_operators(densify(c1), densify(c2))
+    assert np.allclose(paired(c1, c2).entries, rhs.entries, atol=1e-12)
     assert len(pair_separable(c1, c2).terms) == 6
+
+
+def test_pair_separable_treats_each_factor_as_one_prover():
+    # a factor tagged with two subsystems is still one prover's operator:
+    # its pairing is the plain Kronecker product, not a regrouped one
+    rng = default_rng(15)
+    c1 = random_sep([4], 2, rng)
+    c2 = random_sep([4], 1, rng)
+    tagged = SeparableOperator(
+        [4], [(HermitianOperator([2, 2], f.entries),) for (f,) in c1.terms]
+    )
+    assert np.array_equal(paired(tagged, c2).entries, paired(c1, c2).entries)
 
 
 def test_pair_party_count_mismatch():
@@ -74,41 +93,34 @@ def test_pair_party_count_mismatch():
     c1 = random_sep([2], 1, rng)
     c2 = random_sep([2, 2], 1, rng)
     with pytest.raises(PartyCountError):
-        pair_instance(c1, c2)
+        verify_perfect_repetition(c1, c2)
+    with pytest.raises(PartyCountError):
+        witness_summands(c1, 1.0, c2, 1.0)
     with pytest.raises(PartyCountError):
         pair_separable(c1, c2)
 
 
 def test_pair_capacity():
+    # the paired dimension 81 exceeds the cap even though each dense
+    # instance (9) is within it
     rng = default_rng(4)
     c = random_sep([3, 3], 1, rng)
     with pytest.raises(CapacityError):
-        pair_instance(c, c, max_dim=80)
+        verify_perfect_repetition(c, c, max_dim=80)
+    with pytest.raises(CapacityError):
+        witness_summands(c, 1, c, 1, max_dim=80)
 
 
 # -- duals ------------------------------------------------------------------------
 
 
-def test_dual_from_primal_strict_feasibility():
+def test_bound_witness_strict_feasibility():
     # t = 2 with ||C|| <= 1 leaves slack >= 1 on every product state
     c = entangled_accept_as_single_party()
-    dual = dual_from_primal(c, 2.0)
-    assert dual.t == 2.0
-    val = witness_evidence(dual.witness, samples=2000, rng=default_rng(5)).min_value
+    val = witness_evidence(bound_witness(c, 2.0), samples=2000, rng=default_rng(5)).min_value
     assert val >= 1.0 - 1e-9
     # spectral norm of this instance is 1/2, so the slack is exactly 3/2
     assert val == pytest.approx(1.5, abs=1e-8)
-
-
-def test_repetition_witness_structure():
-    rng = default_rng(6)
-    c1 = random_sep([2, 2], 2, rng)
-    c2 = random_sep([2, 2], 2, rng)
-    dual = repetition_witness(c1, 0.7, c2, 0.3)
-    assert dual.t == pytest.approx(0.21, abs=1e-15)
-    paired = pair_instance(c1, c2).paired_operator
-    want = 0.21 * np.eye(16) - paired.entries
-    assert np.allclose(dual.witness.entries, want, atol=1e-12)
 
 
 def test_witness_summands_average_to_witness():
@@ -116,9 +128,9 @@ def test_witness_summands_average_to_witness():
     c1 = random_sep([2, 2], 2, rng)
     c2 = random_sep([2, 2], 2, rng)
     first, second = witness_summands(c1, 0.6, c2, 0.5)
-    dual = repetition_witness(c1, 0.6, c2, 0.5)
+    want = 0.6 * 0.5 * np.eye(16) - paired(c1, c2).entries
     mean = 0.5 * (first.operator.entries + second.operator.entries)
-    assert np.allclose(mean, dual.witness.entries, atol=1e-13)
+    assert np.allclose(mean, want, atol=1e-13)
     assert first.label != second.label
 
 
@@ -146,10 +158,8 @@ def test_weak_duality_for_repetition_pairs():
             c2 = random_sep([2, 2], 2, rng)
         t1 = seesaw_max(densify(c1), restarts=8, rng=rng).value
         t2 = seesaw_max(densify(c2), restarts=8, rng=rng).value
-        dual = repetition_witness(c1, t1, c2, t2)
-        paired = pair_instance(c1, c2).paired_operator
-        v = seesaw_max(paired, restarts=8, rng=rng).value
-        assert dual.t - v >= -1e-9
+        v = seesaw_max(paired(c1, c2), restarts=8, rng=rng).value
+        assert t1 * t2 - v >= -1e-9
 
 
 # -- end-to-end verification -------------------------------------------------------
@@ -191,8 +201,7 @@ def test_verify_flags_violation_of_planted_bound():
     rng = default_rng(13)
     c = random_sep([2, 2], 2, rng)
     v = seesaw_max(densify(c), restarts=8, rng=rng).value
-    dual = dual_from_primal(c, 0.5 * v)
-    val = witness_evidence(dual.witness, samples=4000, rng=rng).min_value
+    val = witness_evidence(bound_witness(c, 0.5 * v), samples=4000, rng=rng).min_value
     assert val < -1e-6  # certified counterexample to the fake bound
 
 

@@ -21,8 +21,8 @@ from multiprover.optimize import (
     brute_force_max,
 )
 from multiprover.rand import default_rng, random_psd, random_separable_terms
-from multiprover.repetition import pair_instance
-from multiprover.separable import SeparableOperator, witness_evidence
+from multiprover.repetition import pair_separable
+from multiprover.separable import SeparableOperator, densify, witness_evidence
 
 
 def psd_op(dims, seed):
@@ -34,7 +34,7 @@ def paired_9x9(seed):
     rng = default_rng(seed)
     c1 = SeparableOperator([3, 3], random_separable_terms([3, 3], 3, rng))
     c2 = SeparableOperator([3, 3], random_separable_terms([3, 3], 2, rng))
-    return pair_instance(c1, c2).paired_operator
+    return densify(pair_separable(c1, c2))
 
 
 # -- reference: the per-chunk einsum screening loop the kernel replaced ---------
