@@ -192,9 +192,6 @@ class BellProtocol:
     def local_dims(self) -> tuple[int, ...]:
         return tuple(p[0].dim for p in self.povms)
 
-    def params(self) -> ProtocolParams:
-        return derive_params(self.n, self.m, self.r)
-
 
 def _check_density(rho: HermitianOperator, what: str) -> None:
     lo = rho.min_eigenvalue()
@@ -349,13 +346,8 @@ def honest_message(
     """Claims the true POVM distributions; sends k IID copies of each proof."""
     if len(proofs) != protocol.m:
         raise ValueError(f"{len(proofs)} proofs for {protocol.m} provers")
-    xs = []
-    ys = []
-    for j, rho in enumerate(proofs):
-        probs = stage1_distribution(protocol, j, rho)
-        xs.append(fixed_point_distribution(probs, params.alpha))
-        ys.append(ProofModel([(rho, params.k)]))
-    return MerlinMessage(alpha=params.alpha, x_register=tuple(xs), y_register=tuple(ys))
+    claimed = [stage1_distribution(protocol, j, rho) for j, rho in enumerate(proofs)]
+    return message_from_distributions(claimed, proofs, params)
 
 
 def message_from_distributions(

@@ -47,7 +47,7 @@ from .encoding import (
     plan_to_dict,
     preparation_plan,
 )
-from .linalg import CapacityError, operator_from_dict, state_from_dict
+from .linalg import DIM_CAP, CapacityError, operator_from_dict, state_from_dict
 from .optimize import brute_force_max, seesaw_max
 from .repetition import (
     PartyCountError,
@@ -67,7 +67,7 @@ MAX_BITS = 1023  # largest encode --bits
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument(
-        "--max-dim", type=int, default=2 ** 14, help="dense dimension cap"
+        "--max-dim", type=int, default=DIM_CAP, help=f"dense dimension cap, 1 to {DIM_CAP}"
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -158,6 +158,10 @@ def cmd_parrep(args) -> dict:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     c1 = separable_from_dict(_load_json(args.instance))
     c2 = separable_from_dict(_load_json(args.second)) if args.second else c1
+    if args.repeat > 1 and args.second:
+        raise ValueError(
+            f"--repeat {args.repeat} pairs the first instance with itself; it takes no second instance"
+        )
     _check_dim(c1.shape.total * c2.shape.total, args.max_dim)
     if args.repeat > 1:
         base = c1
@@ -165,8 +169,8 @@ def cmd_parrep(args) -> dict:
         for _ in range(args.repeat - 1):
             fold = pair_separable(fold, base)
             _check_dim(fold.shape.total, args.max_dim)
-        r1 = seesaw_max(densify(base, max_dim=args.max_dim), rng=np.random.default_rng(args.seed))
-        rk = seesaw_max(densify(fold, max_dim=args.max_dim), rng=np.random.default_rng(args.seed + 1))
+        r1 = seesaw_max(densify(base), rng=np.random.default_rng(args.seed))
+        rk = seesaw_max(densify(fold), rng=np.random.default_rng(args.seed + 1))
         expected = r1.value ** args.repeat
         verdict = "perfect" if abs(rk.value - expected) <= args.tol else "inconclusive"
         return {
@@ -178,11 +182,7 @@ def cmd_parrep(args) -> dict:
             "verdict": verdict,
         }
     report = verify_perfect_repetition(
-        c1,
-        c2,
-        tol=args.tol,
-        rng=np.random.default_rng(args.seed),
-        max_dim=args.max_dim,
+        c1, c2, tol=args.tol, rng=np.random.default_rng(args.seed)
     )
     return {"command": "parrep", **report.to_dict()}
 
@@ -306,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("parrep", help="parallel-repetition certificate")
     p_rep.add_argument("instance", help="separable operator JSON document")
     p_rep.add_argument("second", nargs="?", default=None)
-    p_rep.add_argument("--repeat", type=int, default=1, help="k-fold self pairing")
+    p_rep.add_argument(
+        "--repeat", type=int, default=1, help="k-fold self pairing; k > 1 takes no second instance"
+    )
     p_rep.add_argument("--tol", type=float, default=1e-3, help="verdict tolerance")
     _add_common(p_rep)
 
@@ -349,6 +351,9 @@ def main(argv=None) -> int:
     # cmd_<command> after the parser was built is still seen.
     handler = globals()[f"cmd_{args.command}"]
     try:
+        if not 1 <= args.max_dim <= DIM_CAP:
+            # the library's own cap is DIM_CAP: a larger --max-dim would not apply
+            raise ValueError(f"--max-dim must be between 1 and {DIM_CAP}, got {args.max_dim}")
         doc = handler(args)
     except TableCapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

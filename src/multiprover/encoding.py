@@ -236,15 +236,10 @@ def preparation_plan(psi: PureState) -> PreparationPlan:
     return PreparationPlan(n, tuple(float(p) for p in phases), rotations)
 
 
-def apply_plan(plan: PreparationPlan, start: np.ndarray | None = None) -> np.ndarray:
-    """Run the plan; defaults to starting from e_0."""
-    if start is None:
-        w = np.zeros(plan.dimension, dtype=np.complex128)
-        w[0] = 1.0
-    else:
-        w = np.asarray(start, dtype=np.complex128).copy()
-        if w.shape != (plan.dimension,):
-            raise ValueError("start vector has the wrong dimension")
+def apply_plan(plan: PreparationPlan) -> np.ndarray:
+    """Run the plan from e_0."""
+    w = np.zeros(plan.dimension, dtype=np.complex128)
+    w[0] = 1.0
     for a, b, theta in plan.rotations:
         c, s = math.cos(theta), math.sin(theta)
         wa, wb = w[a], w[b]
@@ -289,8 +284,6 @@ def plan_from_dict(doc: dict) -> PreparationPlan:
 def simulate_mqa_protocol(
     descriptions: Sequence[ClassicalStateDescription],
     accept_operator: HermitianOperator,
-    *,
-    max_dim: int = DIM_CAP,
 ) -> float:
     """Acceptance probability when classical descriptions replace the proofs.
 
@@ -302,8 +295,8 @@ def simulate_mqa_protocol(
         raise ValueError("need at least one description")
     dims = [d.dimension for d in descriptions]
     total = math.prod(dims)
-    if total > max_dim:
-        raise CapacityError(f"joint dimension {total} exceeds cap {max_dim}")
+    if total > DIM_CAP:
+        raise CapacityError(f"joint dimension {total} exceeds cap {DIM_CAP}")
     if total != accept_operator.dim:
         raise ValueError(
             f"joint dimension {total} does not match accept operator "

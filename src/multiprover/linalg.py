@@ -90,7 +90,7 @@ class HermitianOperator:
     shape: MultipartiteShape
     entries: np.ndarray
 
-    def __init__(self, shape, entries, *, tol: float = HERMITICITY_TOL):
+    def __init__(self, shape, entries):
         shape = _as_shape(shape)
         m = np.asarray(entries, dtype=np.complex128)
         if m.shape != (shape.total, shape.total):
@@ -101,7 +101,7 @@ class HermitianOperator:
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         gap = np.abs(m - m.conj().T).max() if m.size else 0.0
-        if gap > tol:
+        if gap > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max|M - M*| = {gap:.3e}")
         m = (m + m.conj().T) / 2
         object.__setattr__(self, "shape", shape)
@@ -144,7 +144,7 @@ class PureState:
     shape: MultipartiteShape
     amplitudes: np.ndarray
 
-    def __init__(self, shape, amplitudes, *, tol: float = STATE_NORM_TOL):
+    def __init__(self, shape, amplitudes):
         shape = _as_shape(shape)
         v = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         if v.shape != (shape.total,):
@@ -155,7 +155,7 @@ class PureState:
         if not np.isfinite(v).all():
             raise ValueError("amplitudes must be finite")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > tol:
+        if abs(nrm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "amplitudes", _readonly(v))
@@ -185,11 +185,11 @@ def identity(shape) -> HermitianOperator:
     return HermitianOperator(shape, np.eye(shape.total, dtype=np.complex128))
 
 
-def tensor(a: HermitianOperator, b: HermitianOperator, *, max_dim: int = DIM_CAP) -> HermitianOperator:
+def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product with a's subsystems ahead of b's."""
     total = a.dim * b.dim
-    if total > max_dim:
-        raise CapacityError(f"tensor product dimension {total} exceeds cap {max_dim}")
+    if total > DIM_CAP:
+        raise CapacityError(f"tensor product dimension {total} exceeds cap {DIM_CAP}")
     dims = a.shape.dims + b.shape.dims
     return HermitianOperator(MultipartiteShape(dims), np.kron(a.entries, b.entries))
 
@@ -285,7 +285,7 @@ def _check_finite_parts(re: np.ndarray, im: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def operator_from_dict(doc: dict, *, tol: float = HERMITICITY_TOL) -> HermitianOperator:
+def operator_from_dict(doc: dict) -> HermitianOperator:
     try:
         dims = doc["dims"]
         re = np.asarray(doc["re"], dtype=np.float64)
@@ -295,7 +295,7 @@ def operator_from_dict(doc: dict, *, tol: float = HERMITICITY_TOL) -> HermitianO
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError("re/im parts must be matching 2-d matrices")
     _check_finite_parts(re, im, "matrix entries")
-    return HermitianOperator(MultipartiteShape(dims), re + 1j * im, tol=tol)
+    return HermitianOperator(MultipartiteShape(dims), re + 1j * im)
 
 
 def state_to_dict(psi: PureState) -> dict:

@@ -50,6 +50,14 @@ from .rand import default_rng, haar_vector
 LOCAL_NORM_TOL = 1e-10
 PSD_TOL = 1e-6
 
+# A seesaw run stops when a sweep gains less than IMPROVE_TOL (relative) or
+# after SWEEP_CAP sweeps; eigenvalues within TIE_TOL of the top one tie; the
+# polish runs at most AITKEN_ROUNDS rounds of two sweeps each.
+SWEEP_CAP = 500
+IMPROVE_TOL = 1e-10
+TIE_TOL = 1e-10
+AITKEN_ROUNDS = 40
+
 
 class MonotonicityError(RuntimeError):
     """An ascent step lowered the objective it is guaranteed not to lower."""
@@ -149,10 +157,10 @@ def _gauge(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return v
 
 
-def _update_block(tview, m, locs, j, tie_tol=1e-10):
+def _update_block(tview, m, locs, j):
     w, vv = np.linalg.eigh(_eff(tview, m, locs, j))
     top = w[:, -1]
-    ties = np.sum(w >= (top - tie_tol * np.maximum(1.0, np.abs(top)))[:, None], axis=1)
+    ties = np.sum(w >= (top - TIE_TOL * np.maximum(1.0, np.abs(top)))[:, None], axis=1)
     cur = locs[j]
     for r, k in enumerate(ties):
         # vv[r, :, -1] stays a strided view: np.vdot on a contiguous copy
@@ -178,10 +186,10 @@ def _sweep(tview, m, locs):
     return obj
 
 
-def _seesaw_batch(cmat, dims, starts, *, sweep_cap=500, improve_tol=1e-10):
+def _seesaw_batch(cmat, dims, starts, *, sweep_cap=SWEEP_CAP):
     """Alternating ascent from every start at once.
 
-    Each run sweeps until its own improvement falls below ``improve_tol``
+    Each run sweeps until its own improvement falls below ``IMPROVE_TOL``
     or ``sweep_cap`` is reached; finished runs leave the active set. Returns
     one ``(value, locs, sweeps, converged, trace)`` per start, in order.
     """
@@ -214,7 +222,7 @@ def _seesaw_batch(cmat, dims, starts, *, sweep_cap=500, improve_tol=1e-10):
         for r, o in zip(active, obj):
             traces[r].append(float(o))
         sweeps[active] = sweep
-        done = obj - p < improve_tol * scale
+        done = obj - p < IMPROVE_TOL * scale
         converged[active[done]] = True
         prev[active] = obj
         active = active[~done]
@@ -225,12 +233,7 @@ def _seesaw_batch(cmat, dims, starts, *, sweep_cap=500, improve_tol=1e-10):
     return out
 
 
-def _seesaw_run(cmat, dims, locs0, *, sweep_cap=500, improve_tol=1e-10):
-    """One run of the batched engine."""
-    return _seesaw_batch(cmat, dims, [locs0], sweep_cap=sweep_cap, improve_tol=improve_tol)[0]
-
-
-def _aitken_polish(cmat, dims, locs, *, rounds=40):
+def _aitken_polish(cmat, dims, locs):
     """Componentwise Aitken extrapolation of the alternating-ascent iterates.
 
     Near a degenerate optimum the sweep map contracts only cubically; the
@@ -243,7 +246,7 @@ def _aitken_polish(cmat, dims, locs, *, rounds=40):
     splits = np.cumsum(dims)[:-1]
 
     locs = [v.copy() for v in locs]
-    for _ in range(rounds):
+    for _ in range(AITKEN_ROUNDS):
         x0 = np.concatenate(locs)
         l1 = [v[None].copy() for v in locs]
         _sweep(tview, m, l1)
@@ -330,27 +333,26 @@ def seesaw_max(
     *,
     restarts: int = 32,
     rng=None,
-    sweep_cap: int = 500,
-    improve_tol: float = 1e-10,
     initial_states: Iterable[ProductState] = (),
-    polish: bool = True,
 ) -> OptimizationResult:
-    """Best product-state value of a PSD operator over random restarts.
+    """Best product-state value of a PSD operator over random restarts,
+    with the winner polished (Aitken extrapolation, then the snap pass).
 
     Parameters
     ----------
     c : operator to maximize; must be PSD up to -1e-6.
-    restarts : number of Haar-random starting points.
+    restarts : number of Haar-random starting points, >= 0.
     rng : seed or Generator; defaults to a fixed seed for reproducibility.
     initial_states : extra warm starts evaluated before the random ones.
-    polish : run Aitken extrapolation and the exact sparsification pass on
-        the winning restart.
     """
     dims = c.shape.dims
     min_eig = float(np.linalg.eigvalsh(c.entries)[0])
     if min_eig < -PSD_TOL:
         raise ValueError(f"operator is not PSD: min eigenvalue {min_eig:.3e}")
-    if restarts < 1 and not initial_states:
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    initial_states = list(initial_states)
+    if restarts == 0 and not initial_states:
         raise ValueError("need at least one restart or initial state")
 
     cmat = c.entries
@@ -360,47 +362,47 @@ def seesaw_max(
             raise ValueError("initial state shape does not match operator")
         starts.append([v.copy() for v in st.locals])
     rng = default_rng(rng)
-    for child in rng.spawn(max(0, restarts)):
+    for child in rng.spawn(restarts):
         starts.append([haar_vector(d, child) for d in dims])
 
     best = None
-    for run in _seesaw_batch(cmat, dims, starts, sweep_cap=sweep_cap, improve_tol=improve_tol):
+    for run in _seesaw_batch(cmat, dims, starts):
         if best is None or run[0] > best[0]:
             best = run
 
     val, locs, sweeps, conv, trace = best
-    iterations = sweeps
-    if polish:
-        polished = _aitken_polish(cmat, dims, locs)
-        polished = _snap_pass(cmat, polished)
-        pval = _qform(cmat, polished)
-        if pval >= val:
-            val, locs = pval, polished
-        iterations += 2 * 40
-        trace = trace + [val]
-        if not conv:
-            # The polish may finish what the coordinate phase could not:
-            # re-test stationarity at the final point.
-            probe = [v[None].copy() for v in locs]
-            tview = cmat.reshape(dims + dims)
-            gain = float(_sweep(tview, len(dims), probe)[0]) - val
-            conv = gain < improve_tol * max(1.0, abs(val))
+    polished = _snap_pass(cmat, _aitken_polish(cmat, dims, locs))
+    pval = _qform(cmat, polished)
+    if pval >= val:
+        val, locs = pval, polished
+    if not conv:
+        # The polish may finish what the coordinate phase could not:
+        # re-test stationarity at the final point.
+        probe = [v[None].copy() for v in locs]
+        tview = cmat.reshape(dims + dims)
+        gain = float(_sweep(tview, len(dims), probe)[0]) - val
+        conv = gain < IMPROVE_TOL * max(1.0, abs(val))
 
     state = ProductState(c.shape, [v / np.linalg.norm(v) for v in locs])
     return OptimizationResult(
         value=max(val, 0.0),
         state=state,
-        iterations=iterations,
+        iterations=sweeps + 2 * AITKEN_ROUNDS,
         converged=conv,
-        trace=tuple(trace),
+        trace=tuple(trace + [val]),
     )
 
 
 # -- sampling oracle ----------------------------------------------------------
 
 BRUTE_DIM_CAP = 64
+BRUTE_REFINE = 5  # best samples that brute_force_max refines
+SCREEN_CHUNK = 20_000  # product states drawn per batch by the library's screens
 # Rows per BLAS call in _screen_products: bounds its temporaries to a few MB.
 _SCREEN_ROWS = 2048
+# _plane_refine: at most PLANE_ROUNDS rounds; stops after 3 gaining < PLANE_TOL
+PLANE_ROUNDS = 300
+PLANE_TOL = 1e-13
 
 
 def _screen_products(cmat, dims, samples, rng, keep, chunk, *, lowest):
@@ -442,7 +444,7 @@ def _screen_products(cmat, dims, samples, rng, keep, chunk, *, lowest):
     return kept_vals, kept_locs
 
 
-def _plane_refine(cmat, dims, locs, rng, *, rounds=300, tol=1e-13):
+def _plane_refine(cmat, dims, locs, rng):
     """Exact maximization over random 2-planes through the current state.
 
     Along v(t) = cos(t) phi_j + sin(t) u with u a unit tangent, the
@@ -452,7 +454,7 @@ def _plane_refine(cmat, dims, locs, rng, *, rounds=300, tol=1e-13):
     locs = [v.copy() for v in locs]
     val = _qform(cmat, locs)
     stall = 0
-    for _ in range(rounds):
+    for _ in range(PLANE_ROUNDS):
         round_start = val
         for j, d in enumerate(dims):
             if d == 1:
@@ -477,7 +479,7 @@ def _plane_refine(cmat, dims, locs, rng, *, rounds=300, tol=1e-13):
                 val = new
             else:
                 locs[j] = phi
-        stall = stall + 1 if val - round_start < tol else 0
+        stall = stall + 1 if val - round_start < PLANE_TOL else 0
         if stall >= 3:
             break
     return val, locs
@@ -488,8 +490,6 @@ def brute_force_max(
     *,
     samples: int = 1_000_000,
     rng=None,
-    refine: int = 5,
-    chunk: int = 20_000,
 ) -> float:
     """Sampled lower bound on the product-state maximum, then local refinement.
 
@@ -505,7 +505,9 @@ def brute_force_max(
         raise ValueError("need at least one sample")
     rng = default_rng(rng)
     cmat = c.entries
-    vals, cands = _screen_products(cmat, dims, samples, rng, refine, chunk, lowest=False)
+    vals, cands = _screen_products(
+        cmat, dims, samples, rng, BRUTE_REFINE, SCREEN_CHUNK, lowest=False
+    )
     # Refine in ascending order: every refinement draws from the shared rng.
     best = float(vals[-1])
     for locs in cands:

@@ -29,19 +29,18 @@ def haar_state(dims, rng: np.random.Generator) -> PureState:
     return PureState(shape, haar_vector(shape.total, rng))
 
 
-def random_hermitian(d: int, rng: np.random.Generator, *, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
-def random_psd(d: int, rng: np.random.Generator, *, rank: int | None = None) -> np.ndarray:
-    r = d if rank is None else int(rank)
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+def random_psd(d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return g @ g.conj().T
 
 
-def random_density(d: int, rng: np.random.Generator, *, rank: int | None = None) -> HermitianOperator:
-    m = random_psd(d, rng, rank=rank)
+def random_density(d: int, rng: np.random.Generator) -> HermitianOperator:
+    m = random_psd(d, rng)
     m /= np.trace(m).real
     return HermitianOperator(MultipartiteShape([d]), m)
 

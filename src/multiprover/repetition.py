@@ -39,6 +39,8 @@ from .separable import (
 )
 from .rand import default_rng
 
+RESTARTS = 16  # seesaw restarts per optimization in verify_perfect_repetition
+
 
 class PartyCountError(ValueError):
     """The two instances do not have the same number of provers."""
@@ -91,13 +93,13 @@ def _pair_operators(a: HermitianOperator, b: HermitianOperator) -> HermitianOper
     return HermitianOperator(MultipartiteShape(merged), permuted.entries)
 
 
-def _densify_pair(c1: SeparableOperator, c2: SeparableOperator, max_dim: int):
+def _densify_pair(c1: SeparableOperator, c2: SeparableOperator):
     """Dense C1 and C2 of two instances whose paired dimension is within the cap."""
     _check_parties(c1, c2)
     total = c1.shape.total * c2.shape.total
-    if total > max_dim:
-        raise CapacityError(f"paired dimension {total} exceeds cap {max_dim}")
-    return densify(c1, max_dim=max_dim), densify(c2, max_dim=max_dim)
+    if total > DIM_CAP:
+        raise CapacityError(f"paired dimension {total} exceeds cap {DIM_CAP}")
+    return densify(c1), densify(c2)
 
 
 def _one_party(f: HermitianOperator) -> HermitianOperator:
@@ -122,8 +124,6 @@ def witness_summands(
     t1: float,
     c2: SeparableOperator,
     t2: float,
-    *,
-    max_dim: int = DIM_CAP,
 ) -> tuple[DualWitnessCandidate, DualWitnessCandidate]:
     """The two dual-feasible halves whose mean is the repetition witness.
 
@@ -132,7 +132,7 @@ def witness_summands(
     so each lies in the dual separable cone whenever t1, t2 are valid
     bounds; their mean equals t1 t2 * I - C1 (x) C2 exactly.
     """
-    d1, d2 = _densify_pair(c1, c2, max_dim)
+    d1, d2 = _densify_pair(c1, c2)
     i1 = identity(c1.shape)
     i2 = identity(c2.shape)
     first = _pair_operators(float(t1) * i1 - d1, float(t2) * i2 + d2)
@@ -149,9 +149,6 @@ def verify_perfect_repetition(
     tol: float = 1e-3,
     *,
     rng=None,
-    restarts: int = 16,
-    samples: int = 20_000,
-    max_dim: int = DIM_CAP,
 ) -> RepetitionReport:
     """Certify opt(C1 paired C2) = opt(C1) * opt(C2) numerically.
 
@@ -167,24 +164,24 @@ def verify_perfect_repetition(
     * ``inconclusive``: neither, e.g. optimization failed to close the gap.
     """
     rng = default_rng(rng)
-    d1, d2 = _densify_pair(c1, c2, max_dim)
+    d1, d2 = _densify_pair(c1, c2)
     paired = _pair_operators(d1, d2)
     ch = rng.spawn(4)
 
-    r1: OptimizationResult = seesaw_max(d1, restarts=restarts, rng=ch[0])
-    r2: OptimizationResult = seesaw_max(d2, restarts=restarts, rng=ch[1])
+    r1: OptimizationResult = seesaw_max(d1, restarts=RESTARTS, rng=ch[0])
+    r2: OptimizationResult = seesaw_max(d2, restarts=RESTARTS, rng=ch[1])
     warm = ProductState(
         paired.shape,
         [np.kron(a, b) for a, b in zip(r1.state.locals, r2.state.locals)],
     )
-    rp = seesaw_max(paired, restarts=restarts, rng=ch[2], initial_states=[warm])
+    rp = seesaw_max(paired, restarts=RESTARTS, rng=ch[2], initial_states=[warm])
 
     v1, v2, v = r1.value, r2.value, rp.value
     t1t2 = v1 * v2
     witness = HermitianOperator(
         paired.shape, t1t2 * np.eye(paired.shape.total) - paired.entries
     )
-    ev: WitnessEvidence = witness_evidence(witness, samples=samples, rng=ch[3])
+    ev: WitnessEvidence = witness_evidence(witness, rng=ch[3])
 
     gap_ok = abs(v - t1t2) <= tol
     if v > t1t2 + COUNTEREXAMPLE_TOL or ev.min_value < -COUNTEREXAMPLE_TOL:

@@ -29,13 +29,14 @@ from .linalg import (
     partial_transpose,
     _as_shape,
 )
-from .optimize import ProductState, _qform, _screen_products, _seesaw_batch
+from .optimize import SCREEN_CHUNK, ProductState, _qform, _screen_products, _seesaw_batch
 from .rand import default_rng
 
 FACTOR_PSD_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
 EVIDENCE_TOL = 1e-9
 COUNTEREXAMPLE_TOL = 1e-6
+WITNESS_REFINE = 10  # lowest samples that witness_evidence refines
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,18 @@ class WitnessEvidence:
         return self.min_value < -COUNTEREXAMPLE_TOL
 
 
-def densify(s: SeparableOperator, *, max_dim: int = DIM_CAP) -> HermitianOperator:
+def densify(s: SeparableOperator) -> HermitianOperator:
     """Sum the factored terms into one dense operator."""
     total = s.shape.total
-    if total > max_dim:
-        raise CapacityError(f"dense dimension {total} exceeds cap {max_dim}")
+    if total > DIM_CAP:
+        raise CapacityError(f"dense dimension {total} exceeds cap {DIM_CAP}")
     acc = np.zeros((total, total), dtype=np.complex128)
     for factors in s.terms:
         acc += reduce(np.kron, [f.entries for f in factors])
     return HermitianOperator(s.shape, acc)
 
 
-def is_povm(effects, *, sum_tol: float = POVM_SUM_TOL, psd_tol: float = FACTOR_PSD_TOL) -> bool:
+def is_povm(effects) -> bool:
     """Check each effect PSD and the effects summing to the identity."""
     effects = list(effects)
     if not effects:
@@ -121,14 +122,14 @@ def is_povm(effects, *, sum_tol: float = POVM_SUM_TOL, psd_tol: float = FACTOR_P
     for e in effects:
         if e.shape.dims != dims:
             return False
-        if e.min_eigenvalue() < -psd_tol:
+        if e.min_eigenvalue() < -FACTOR_PSD_TOL:
             return False
     total = sum(e.entries for e in effects)
     gap = np.abs(total - np.eye(effects[0].dim)).max()
-    return bool(gap <= sum_tol)
+    return bool(gap <= POVM_SUM_TOL)
 
 
-def ppt_check(a: HermitianOperator, *, tol: float = FACTOR_PSD_TOL) -> PptReport:
+def ppt_check(a: HermitianOperator) -> PptReport:
     """Minimum eigenvalue of the partial transpose across every 1-subsystem cut.
 
     A negative value certifies that a (normalized PSD) operator is
@@ -137,7 +138,7 @@ def ppt_check(a: HermitianOperator, *, tol: float = FACTOR_PSD_TOL) -> PptReport
     mins = tuple(
         partial_transpose(a, s).min_eigenvalue() for s in range(a.shape.parties)
     )
-    return PptReport(mins, bool(min(mins) >= -tol))
+    return PptReport(mins, bool(min(mins) >= -FACTOR_PSD_TOL))
 
 
 def witness_evidence(
@@ -145,8 +146,6 @@ def witness_evidence(
     *,
     samples: int = 20_000,
     rng=None,
-    refine: int = 10,
-    chunk: int = 20_000,
 ) -> WitnessEvidence:
     """Minimize <product|W|product>: sampled screening plus seesaw refinement.
 
@@ -159,7 +158,9 @@ def witness_evidence(
     dims = w.shape.dims
     rng = default_rng(rng)
     wmat = w.entries
-    vals, cands = _screen_products(wmat, dims, samples, rng, refine, chunk, lowest=True)
+    vals, cands = _screen_products(
+        wmat, dims, samples, rng, WITNESS_REFINE, SCREEN_CHUNK, lowest=True
+    )
     best_val = float(vals[0])
     best_locs = cands[0]
     for val, out, _, _, _ in _seesaw_batch(-wmat, dims, cands):

@@ -30,7 +30,7 @@ from multiprover.bellqma import (
 )
 from multiprover.bellqma import _draws_from_words, _largest_remainder, _word_count
 from multiprover.linalg import HermitianOperator, basis_state, identity
-from multiprover.rand import default_rng
+from multiprover.rand import default_rng, random_density, random_povm
 
 
 def z_basis_povm():
@@ -246,7 +246,6 @@ def test_protocol_validation():
     povm = z_basis_povm()
     proto = BellProtocol(1, 2, 2, [povm, povm], stage2)
     assert proto.local_dims == (2, 2)
-    assert proto.params() == derive_params(1, 2, 2)
     # wrong outcome count
     with pytest.raises(ValueError):
         BellProtocol(1, 2, 3, [povm, povm], Stage2Acceptor.accept_all(2, 3))
@@ -309,6 +308,28 @@ def test_stage1_distribution():
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
     probs = stage1_distribution(proto, 1, basis_state([2], 1).projector())
     assert np.allclose(probs, [0.0, 1.0], atol=1e-12)
+
+
+def test_honest_message_is_the_per_prover_construction():
+    # each prover's claim is the fixed-point rendering of its stage-1
+    # distribution, and its proof model is the one IID group (rho, k)
+    rng = default_rng(3)
+    povms = [random_povm(2, 3, rng), random_povm(3, 3, rng)]
+    proto = BellProtocol(1, 2, 3, povms, Stage2Acceptor.accept_all(2, 3))
+    proofs = [random_density(2, rng), random_density(3, rng)]
+    params = ProtocolParams(p=40, k=5000, q=20, alpha=50)
+    msg = honest_message(proto, proofs, params)
+    assert msg.alpha == params.alpha
+    want = tuple(
+        fixed_point_distribution(stage1_distribution(proto, j, rho), params.alpha)
+        for j, rho in enumerate(proofs)
+    )
+    assert msg.x_register == want
+    for y, rho in zip(msg.y_register, proofs):
+        ((state, copies),) = y.groups
+        assert state is rho and copies == params.k
+    with pytest.raises(ValueError, match="1 proofs for 2 provers"):
+        honest_message(proto, proofs[:1], params)
 
 
 def test_effective_single_copy_state():

@@ -8,6 +8,7 @@ import pytest
 
 import multiprover
 from multiprover.cli import main
+from multiprover.linalg import DIM_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -129,6 +130,25 @@ def test_max_dim_enforced(capsys):
     assert "max-dim" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", str(DIM_CAP + 1)])
+def test_max_dim_outside_one_to_dim_cap_is_rejected(capsys, value):
+    # above DIM_CAP the library's own cap would apply, not the requested one
+    code, out, err = run_cli(
+        capsys, "optimize", f"{DATA}/entangled_accept.json", "--max-dim", value
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-dim must be between 1 and {DIM_CAP}, got {value}\n"
+
+
+def test_max_dim_at_dim_cap_is_accepted(capsys):
+    # the other end, --max-dim 1, is test_encode_max_dim
+    at_cap = run_json(
+        capsys, "encode", f"{DATA}/plus_state.json", "--max-dim", str(DIM_CAP), "--no-meta"
+    )
+    assert at_cap == run_json(capsys, "encode", f"{DATA}/plus_state.json", "--no-meta")
+
+
 # -- oracle ---------------------------------------------------------------------
 
 
@@ -189,6 +209,25 @@ def test_parrep_repeat_chain(capsys):
     assert doc["v_repeated"] == pytest.approx(0.125, abs=1e-6)
     assert doc["v_single_pow_k"] == pytest.approx(0.125, abs=1e-6)
     assert doc["verdict"] == "perfect"
+
+
+@pytest.mark.parametrize(
+    "second", ["random_sep_2x2.json", "entangled_accept_sep1.json"], ids=["2-party", "same"]
+)
+def test_parrep_repeat_takes_no_second_instance(capsys, second):
+    # --repeat K > 1 pairs the first instance with itself; a second one
+    # (here 1-party with 2-party, which exits 4 without --repeat) is an error
+    code, out, err = run_cli(
+        capsys,
+        "parrep",
+        f"{DATA}/entangled_accept_sep1.json",
+        f"{DATA}/{second}",
+        "--repeat",
+        "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--repeat 2" in err and "second instance" in err
 
 
 def test_parrep_party_mismatch_exit_code(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multiprover.linalg import (
+    DIM_CAP,
     CapacityError,
     HermitianOperator,
     MultipartiteShape,
@@ -29,7 +30,7 @@ from multiprover.rand import haar_vector, random_density, random_hermitian
 
 def herm(dims, rng, scale=1.0):
     shape = MultipartiteShape(dims)
-    return HermitianOperator(shape, random_hermitian(shape.total, rng, scale=scale))
+    return HermitianOperator(shape, scale * random_hermitian(shape.total, rng))
 
 
 # -- shapes and construction --------------------------------------------------
@@ -97,9 +98,11 @@ def test_tensor_is_kron():
 
 
 def test_tensor_capacity():
-    a = identity([4])
+    # each factor (129) is within the cap, the product (129**2) is beyond it
+    a = identity([129])
+    assert a.dim <= DIM_CAP < a.dim * a.dim
     with pytest.raises(CapacityError):
-        tensor(a, a, max_dim=8)
+        tensor(a, a)
 
 
 # -- partial trace ------------------------------------------------------------

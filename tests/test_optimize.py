@@ -121,6 +121,28 @@ def test_seesaw_warm_start_is_never_discarded():
     assert res.value == pytest.approx(0.5, abs=1e-9)
 
 
+def test_seesaw_reads_initial_states_from_an_iterator():
+    c = entangled_accept_operator()
+    warm = ProductState([2, 2], [np.array([1.0, 0.0]), np.array([0.6, 0.8])])
+    a = seesaw_max(c, restarts=2, rng=5, initial_states=iter([warm]))
+    b = seesaw_max(c, restarts=2, rng=5, initial_states=[warm])
+    assert a.value == b.value and a.trace == b.trace
+    assert np.array_equal(a.state.vector(), b.state.vector())
+
+
+@pytest.mark.parametrize("initial_states", [(), [], iter([])], ids=["tuple", "list", "iterator"])
+def test_seesaw_rejects_an_empty_start_set(initial_states):
+    with pytest.raises(ValueError, match="at least one restart or initial state"):
+        seesaw_max(entangled_accept_operator(), restarts=0, initial_states=initial_states)
+
+
+@pytest.mark.parametrize("warm_starts", [0, 1])
+def test_seesaw_rejects_negative_restarts(warm_starts):
+    warm = ProductState([2, 2], [np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+    with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
+        seesaw_max(entangled_accept_operator(), restarts=-1, initial_states=[warm] * warm_starts)
+
+
 def test_seesaw_result_dict():
     res = seesaw_max(entangled_accept_operator(), restarts=2, rng=6)
     doc = res.to_dict()

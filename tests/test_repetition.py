@@ -6,6 +6,7 @@ from multiprover.instances import (
     entangled_accept_as_single_party,
 )
 from multiprover.linalg import (
+    DIM_CAP,
     CapacityError,
     HermitianOperator,
     MultipartiteShape,
@@ -101,14 +102,15 @@ def test_pair_party_count_mismatch():
 
 
 def test_pair_capacity():
-    # the paired dimension 81 exceeds the cap even though each dense
-    # instance (9) is within it
+    # the paired dimension 129**2 exceeds the cap even though each dense
+    # instance (129) is within it; the pair is rejected before densifying
     rng = default_rng(4)
-    c = random_sep([3, 3], 1, rng)
+    c = random_sep([129], 1, rng)
+    assert c.shape.total <= DIM_CAP < c.shape.total ** 2
     with pytest.raises(CapacityError):
-        verify_perfect_repetition(c, c, max_dim=80)
+        verify_perfect_repetition(c, c)
     with pytest.raises(CapacityError):
-        witness_summands(c, 1, c, 1, max_dim=80)
+        witness_summands(c, 1, c, 1)
 
 
 # -- duals ------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from multiprover.optimize import (
     _plane_refine,
     _qform,
     _screen_products,
-    _seesaw_run,
+    _seesaw_batch,
     brute_force_max,
 )
 from multiprover.rand import default_rng, random_psd, random_separable_terms
@@ -82,7 +82,7 @@ def _reference_witness_min(w, samples, seed, refine=10, chunk=20_000):
     )
     best, best_locs = min(vals), cands[int(np.argmin(vals))]
     for locs in cands:
-        val, out, _, _, _ = _seesaw_run(-w.entries, w.shape.dims, locs)
+        val, out, _, _, _ = _seesaw_batch(-w.entries, w.shape.dims, [locs])[0]
         if -val < best:
             best, best_locs = -val, out
     best_locs = [v / np.linalg.norm(v) for v in best_locs]
@@ -158,7 +158,7 @@ def test_seesaw_run_raises_when_a_sweep_lowers_the_objective(monkeypatch):
     locs = [np.array([1.0, 0.0], dtype=complex), np.array([1.0, 0.0], dtype=complex)]
     monkeypatch.setattr(optimize, "_sweep", lambda tview, m, l: -1.0)
     with pytest.raises(MonotonicityError, match="objective decreased"):
-        _seesaw_run(c.entries, c.shape.dims, locs)
+        _seesaw_batch(c.entries, c.shape.dims, [locs])
 
 
 def test_monotonicity_check_survives_optimize_flag():
@@ -170,7 +170,7 @@ def test_monotonicity_check_survives_optimize_flag():
         "optimize._sweep = lambda tview, m, l: -1.0\n"
         "e = np.array([1.0, 0.0], dtype=complex)\n"
         "try:\n"
-        "    optimize._seesaw_run(c.entries, c.shape.dims, [e, e])\n"
+        "    optimize._seesaw_batch(c.entries, c.shape.dims, [[e, e]])\n"
         "except optimize.MonotonicityError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

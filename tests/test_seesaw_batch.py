@@ -12,7 +12,6 @@ from multiprover.optimize import (
     _product_vector,
     _qform,
     _seesaw_batch,
-    _seesaw_run,
     effective_operator,
     seesaw_max,
 )
@@ -197,7 +196,7 @@ def test_sweep_cap_is_per_run(cap):
 def test_seesaw_run_is_the_batch_of_one():
     c = psd_op([3, 3], 2)
     (s,) = haar_starts((3, 3), 1, 4)
-    assert_same_run(_seesaw_run(c.entries, (3, 3), s), _ref_seesaw_run(c.entries, (3, 3), s))
+    assert_same_run(_seesaw_batch(c.entries, (3, 3), [s])[0], _ref_seesaw_run(c.entries, (3, 3), s))
 
 
 def test_start_vectors_are_not_modified():
@@ -226,28 +225,39 @@ def _ref_seesaw_starts(c, restarts, seed, initial_states=()):
     return best
 
 
+def _no_polish(monkeypatch):
+    # The polish keeps the selected run's state when it is the identity, so
+    # seesaw_max reports the winner of the restarts as selected.
+    monkeypatch.setattr(optimize, "_aitken_polish", lambda cmat, dims, locs: locs)
+    monkeypatch.setattr(optimize, "_snap_pass", lambda cmat, locs: locs)
+
+
 @pytest.mark.parametrize(
     "make", [lambda: psd_op([2, 2], 3), lambda: psd_op([2, 2, 2], 4), entangled_accept_operator],
     ids=["2x2", "2x2x2", "canonical"],
 )
-def test_seesaw_max_keeps_the_first_strict_winner(make):
+def test_seesaw_max_keeps_the_first_strict_winner(make, monkeypatch):
+    _no_polish(monkeypatch)
     c = make()
     init = [ProductState(c.shape, [np.eye(d, dtype=complex)[0] for d in c.shape.dims])]
     want = _ref_seesaw_starts(c, 6, 5, init)
-    res = seesaw_max(c, restarts=6, rng=5, initial_states=init, polish=False)
+    res = seesaw_max(c, restarts=6, rng=5, initial_states=init)
     assert res.value == max(want[0], 0.0)
-    assert res.iterations == want[2] and res.converged == want[3]
-    assert list(res.trace) == want[4]
+    # the polish pads the count by its two sweeps per round and appends its value
+    assert res.iterations == want[2] + 2 * optimize.AITKEN_ROUNDS
+    assert res.converged == want[3]
+    assert list(res.trace) == want[4] + [want[0]]
     for v, w in zip(res.state.locals, want[1]):
         assert np.array_equal(v, w / np.linalg.norm(w))
 
 
-def test_seesaw_max_keeps_the_first_of_tied_winners():
+def test_seesaw_max_keeps_the_first_of_tied_winners(monkeypatch):
+    _no_polish(monkeypatch)
     # |00> and |11> are fixed points of diag(1, 0, 0, 1) with the same value
     c = HermitianOperator(MultipartiteShape([2, 2]), np.diag([1.0, 0.0, 0.0, 1.0]))
     e = np.eye(2, dtype=complex)
     init = [ProductState(c.shape, [e[0], e[0]]), ProductState(c.shape, [e[1], e[1]])]
-    res = seesaw_max(c, restarts=0, initial_states=init, polish=False)
+    res = seesaw_max(c, restarts=0, initial_states=init)
     assert res.value == 1.0
     assert np.array_equal(res.state.vector(), [1, 0, 0, 0])
 
